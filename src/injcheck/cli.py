@@ -13,7 +13,8 @@ contains a semicolon or newline (';' separates rows). Subspaces are
 span S) or 'ker:<matrix>' (rows cut S out).
 
 Exit codes: 0 INJECTIVE, 1 NOT_INJECTIVE (or falsifier hit), 2 INCONCLUSIVE
-(or no falsifier hit), 64 usage, 65 unreadable input text, 66 missing file.
+(or no falsifier hit), 64 usage, 65 unreadable input text, 66 missing file,
+70 internal error.
 
 Reports (--report PATH) are JSON with sorted keys, exact rational strings and
 no environment-dependent content, so identical runs write identical bytes.
@@ -64,6 +65,7 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 EXIT_BAD_INPUT = 65
 EXIT_NO_FILE = 66
+EXIT_INTERNAL = 70
 
 
 class _UsageError(Exception):
@@ -267,6 +269,11 @@ def run_command(argv) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        # anything else is a fault of the checker, not a verdict: exiting 1
+        # would read as NOT_INJECTIVE
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     finally:
         print(f"elapsed: {time.monotonic() - started:.3f}s", file=sys.stderr)
     return code

@@ -199,6 +199,18 @@ def lift_monomial_witness(B: RationalMatrix, v: Sequence[Fraction],
 
 
 def _lift_points(v, w) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The float lift of (v, w). When it overflows or leaves the positive
+    orthant, v is rescaled to max |v_i| = 1 and the lift retried: a positive
+    multiple of v keeps its signs and its place in ker B, and the lift gives
+    x - y = w for every such v."""
+    try:
+        return _lift_points_once(v, w)
+    except ArithmeticError:
+        top = max(abs(vi) for vi in v)
+        return _lift_points_once(tuple(vi / top for vi in v), w)
+
+
+def _lift_points_once(v, w) -> tuple[tuple[float, ...], tuple[float, ...]]:
     xs = []
     ys = []
     for vi, wi in zip(v, w):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Caps:
-    sign_enum_dim: int = 12      # max ambient dimension for sign-vector enumeration
+    sign_enum_dim: int = 12      # max ambient dimension n of sigma(S): at most 3^n - 1 vectors
     patterns: int = 4096         # max sign patterns expanded from a sign-set matrix
     vertices: int = 1 << 20      # max vertex evaluations in one box analysis
     monomials: int = 1_000_000   # max terms while expanding a symbolic determinant

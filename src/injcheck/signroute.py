@@ -5,7 +5,10 @@ The driving fact: for z in a subspace S and positive scalings lambda, the
 vectors lambda * z sweep the whole open sign orthant of sigma(z). Injectivity
 questions about a class acting on S therefore reduce to a finite sweep over
 tau in sigma(S \\ {0}) (and, with a left factor A, over rho in {0} union
-sigma(ker A \\ {0})) with one exact feasibility question per pair.
+sigma(ker A \\ {0})) with one exact feasibility question per pair. The swept
+sets themselves need no feasibility question: they are the signs of the
+elementary vectors, closed under conformal composition
+(`subspace_sign_vectors`).
 
 Every search is lexicographic (-1 < 0 < +1) and the first feasible pair is the
 one a witness is built from, so runs are reproducible bit for bit.
@@ -14,7 +17,6 @@ one a witness is built from, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -33,12 +35,11 @@ from .classes import (
 )
 from .feasibility import feasible_cone, strict_sign_feasible
 from .limits import CapExceeded, Caps, DEFAULT_CAPS
-from .linalg import RationalMatrix, Subspace
+from .linalg import RationalMatrix, Subspace, kernel_basis
 from .signs import (
     SignVector,
     sigma,
     sign_of,
-    sign_orthogonal,
     signset_row_orthogonal,
     signset_row_orthogonal_witness,
 )
@@ -54,10 +55,18 @@ _ONE = Fraction(1)
 def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[SignVector, ...]:
     """sigma(S \\ {0}) as a lexicographically sorted tuple (cached on S).
 
-    Exactness: a candidate tau is in the set iff the strict feasibility system
-    Zz = 0, sigma(z) = tau has a solution. Sampling the image basis first and
-    exploiting sigma(-z) = -sigma(z) only short-circuits known members; every
-    remaining candidate is decided by the exact solver.
+    Computed without a feasibility problem, from the elementary vectors of S
+    (its nonzero vectors of minimal support) and conformal composition
+    (X o Y)_i = X_i if X_i != 0 else Y_i.
+
+    Exactness: with an image basis V (n x d), Vc is elementary exactly when the
+    rows of V it vanishes on have rank d - 1, so every elementary vector is
+    +-Vc for c spanning the exact kernel of some d - 1 rows of V of rank d - 1.
+    Every z in S \\ {0} is a conformal sum of elementary vectors, so sigma(z)
+    is a composition of their signs (Rockafellar, "The elementary vectors of a
+    subspace of R^N", 1969); conversely sigma(x + eps y) = sigma(x) o sigma(y)
+    for x, y in S and small eps > 0. The closure of the elementary signs under
+    composition is therefore sigma(S \\ {0}), with nothing sampled or dropped.
     """
     if caps is None:
         caps = DEFAULT_CAPS
@@ -71,49 +80,40 @@ def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[Sig
         return ()
     if n > caps.sign_enum_dim:
         raise CapExceeded("sign_enum_dim", n, caps.sign_enum_dim)
-    Z = S.kernel_rep()
-    if Z.rows == 0:
+    if S.kernel_rep().rows == 0:
         out = tuple(SignVector(c) for c in itertools.product((-1, 0, 1), repeat=n)
                     if any(c))
         S._sign_vectors_cache[cache_key] = out
         return out
 
-    found: set[tuple[int, ...]] = set()
+    # sign vectors as (positive, negative) bit masks over the coordinates
     V = S.image_basis()
-    s = V.cols
-    if s <= 3:
-        coeff_sets = itertools.product(range(-2, 3), repeat=s)
-    else:
-        rng = random.Random(2718281828)
-        coeff_sets = [tuple(rng.randint(-5, 5) for _ in range(s)) for _ in range(256)]
-    for coeffs in coeff_sets:
-        z = tuple(
-            sum((V.at(i, k) * coeffs[k] for k in range(s)), _ZERO) for i in range(n)
-        )
-        sv = sigma(z)
-        if not sv.is_zero():
-            found.add(sv.entries)
-            found.add((-sv).entries)
-
-    z_row_signs = [sigma(row) for row in Z.data]
-    members: list[tuple[int, ...]] = []
-    for cand in itertools.product((-1, 0, 1), repeat=n):
-        if not any(cand):
+    d = V.cols
+    elementary: set[tuple[int, int]] = set()
+    for rows in itertools.combinations(range(n), d - 1):
+        c = kernel_basis(RationalMatrix(d - 1, d, [V.row(i) for i in rows]))
+        if c.cols != 1:
             continue
-        first_nonzero = next(s for s in cand if s != 0)
-        if first_nonzero < 0:
-            continue  # decided via the mirror image
-        cv = SignVector(cand)
-        if cand in found:
-            ok = True
-        elif any(not sign_orthogonal(cv, zr) for zr in z_row_signs):
-            ok = False
-        else:
-            ok = strict_sign_feasible(Z, cv) is not None
-        if ok:
-            members.append(cand)
-            members.append(tuple(-s for s in cand))
-    out = tuple(SignVector(c) for c in sorted(members))
+        z = V.apply(c.col(0))
+        pos = sum(1 << i for i in range(n) if z[i] > 0)
+        neg = sum(1 << i for i in range(n) if z[i] < 0)
+        elementary.update({(pos, neg), (neg, pos)})
+    # X o Y depends on Y only through its signs where X is zero, so the
+    # elementary signs are restricted once per zero set
+    restricted: dict[int, set[tuple[int, int]]] = {}
+    found = set(elementary)
+    newest = elementary
+    while newest:
+        composed: set[tuple[int, int]] = set()
+        for xp, xn in newest:
+            zero = ~(xp | xn) & ((1 << n) - 1)
+            if zero not in restricted:
+                restricted[zero] = {(yp & zero, yn & zero) for yp, yn in elementary}
+            composed.update((xp | yp, xn | yn) for yp, yn in restricted[zero])
+        newest = composed - found
+        found |= newest
+    out = tuple(SignVector(c) for c in sorted(
+        tuple((p >> i & 1) - (m >> i & 1) for i in range(n)) for p, m in found))
     S._sign_vectors_cache[cache_key] = out
     return out
 

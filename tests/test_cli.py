@@ -2,7 +2,11 @@ import json
 import shutil
 import subprocess
 
-from injcheck.cli import run_command
+import injcheck.cli
+from injcheck.classes import Scaled
+from injcheck.cli import EXIT_INTERNAL, run_command
+from injcheck.injectivity import Problem, Status, check_injectivity, verify_certificate
+from injcheck.linalg import RationalMatrix, Subspace
 
 
 def run(capsys, *argv):
@@ -56,6 +60,33 @@ class TestExitCodes:
                            "--caps", "sign_enum_dim=3")
         assert code == 2
         assert "gave up" in err
+
+    def test_internal_error_is_not_a_verdict(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("route table corrupted")
+
+        monkeypatch.setattr(injcheck.cli, "check_injectivity", broken)
+        code, out, err = run(capsys, "monomial", "--B", "1 1;2 1")
+        assert code == EXIT_INTERNAL == 70
+        assert "status:" not in out
+        assert "internal error: RuntimeError: route table corrupted\n" in err
+        assert "Traceback" not in err
+
+    def test_extreme_exponents_lift_after_rescaling(self, capsys, tmp_path):
+        r = tmp_path / "lift.json"
+        code, out, err = run(capsys, "monomial", "--B", "1 -1000",
+                             "--report", str(r))
+        assert code == 1
+        assert "status: NOT_INJECTIVE" in out
+        assert "colliding points:" in out
+        assert "Traceback" not in err
+        lift = json.loads(r.read_text())["verdict"]["certificate"]["monomial_lift"]
+        assert all(p > 0 for p in lift["x"] + lift["y"])
+        problem = Problem(Scaled(RationalMatrix.from_rows([[1, -1000]])),
+                          Subspace.full(2))
+        verdict = check_injectivity(problem)
+        assert verdict.status is Status.NOT_INJECTIVE
+        assert verify_certificate(verdict, problem)
 
 
 class TestClassCommands:

@@ -14,6 +14,7 @@ from injcheck.classes import (
     parse_interval_box_text,
     parse_signsets_text,
 )
+from injcheck import feasibility, signroute
 from injcheck.limits import Caps, CapExceeded
 from injcheck.linalg import RationalMatrix, Subspace
 from injcheck.signroute import (
@@ -61,17 +62,57 @@ class TestSubspaceSignVectors:
 
     def test_matches_brute_enumeration(self):
         rng = random.Random(7)
-        for _ in range(12):
-            n = rng.randint(1, 4)
-            k = rng.randint(0, n)
-            Z = RationalMatrix(k, n, [[F(rng.randint(-2, 2)) for _ in range(n)]
-                                      for _ in range(k)])
-            S = Subspace.from_kernel_rep(Z)
+        for n, build in itertools.product((1, 2, 3, 4, 5, 6, 4, 5, 6), ("image", "kernel")):
+            k = rng.randint(1, n)
+            if build == "image":
+                S = Subspace.from_image(RationalMatrix(
+                    n, k, [[F(rng.randint(-2, 2)) for _ in range(k)] for _ in range(n)]))
+            else:
+                S = Subspace.from_kernel_rep(RationalMatrix(
+                    k, n, [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(k)]))
             if S.dim == 0:
                 assert subspace_sign_vectors(S) == ()
                 continue
-            assert tuple(v.entries for v in subspace_sign_vectors(S)) == \
-                tuple(v.entries for v in enumerate_subspace_signs(S))
+            assert subspace_sign_vectors(S) == enumerate_subspace_signs(S)
+
+    @pytest.mark.parametrize("S", [
+        Subspace.from_image(M([1, 2], [0, 0], [-1, 1], [2, -3], [1, 1])),
+        Subspace.from_kernel_rep(M([0, 1, 0, 0, 0], [1, 0, -1, 2, 1])),
+        Subspace.from_image(M([1, -1, 0], [-2, 2, 0], [0, 1, 1], [3, -3, 0], [1, 0, 2])),
+        Subspace.from_image(M([1, 2, 3], [0, 1, 1], [-1, 1, 0], [2, 0, 2], [1, -1, 0])),
+        Subspace.from_kernel_rep(M([1, 1, 0, -1], [2, 2, 0, -2], [0, 1, 1, 0])),
+        Subspace.from_image(RationalMatrix(6, 1, [[1], [0], [-2], [3], [0], [-1]])),
+        Subspace.from_kernel_rep(M([1, 1, -1, 1, -1, 1])),
+        Subspace.from_kernel_rep(M([1, -1, 0, 2, -3])),
+    ], ids=["zero-coordinate", "zero-coordinate-kernel", "parallel-coordinates",
+            "dependent-image-columns", "dependent-kernel-rows", "line", "hyperplane",
+            "hyperplane-zero-coefficient"])
+    def test_degenerate_subspaces_match_brute_enumeration(self, S):
+        assert subspace_sign_vectors(S) == enumerate_subspace_signs(S)
+
+    def test_needs_no_feasibility_problem(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sigma(S) must not solve a feasibility problem")
+
+        monkeypatch.setattr(feasibility, "feasible_cone", refuse)
+        monkeypatch.setattr(signroute, "feasible_cone", refuse)
+        monkeypatch.setattr(signroute, "strict_sign_feasible", refuse)
+        S = Subspace.from_image(M([1, 0, 2], [0, 1, -1], [1, 1, 0], [2, -1, 1],
+                                  [0, 3, 1], [-1, 2, 2]))
+        assert S.dim == 3
+        got = subspace_sign_vectors(S)
+        assert got and set(got) == {-v for v in got}
+        assert list(got) == sorted(got, key=lambda v: v.entries)
+
+    def test_size_of_an_eight_coordinate_subspace(self):
+        # 4388 was counted once by enumerate_subspace_signs (6560 LPs)
+        S = Subspace.from_image(M(
+            [1, 2, 0, -2, 0, -1], [-2, 1, 1, -2, 0, -1], [-1, 0, -1, 0, -1, -1],
+            [-1, 1, 1, 0, -2, 2], [-1, 0, 2, -2, 0, 2], [-1, 1, 0, -2, 1, -2],
+            [0, 1, -2, -1, 2, 2], [-2, 1, 2, -1, 0, -1]))
+        assert (S.n, S.dim) == (8, 6)
+        got = subspace_sign_vectors(S)
+        assert len(got) == len(set(got)) == 4388
 
     def test_every_reported_vector_is_realizable(self):
         S = Subspace.from_kernel_rep(M([1, -1, 1]))
