@@ -11,10 +11,14 @@ every coset of S precisely when the answer is no.
 Everything outside the randomized falsifier and the final lift to colliding
 points runs in exact rational arithmetic, and both answers come with
 certificates that verify_certificate rechecks.
+
+The names below are the public API. The layers under it - exact linear
+algebra (linalg), the phase-1 simplex (feasibility), sign vectors (signs), the
+two routes (detroute, signroute) and the falsifier (oracle) - are importable
+as submodules.
 """
 
 from .classes import (
-    Augmented,
     Interval,
     IntervalBox,
     IntervalEntry,
@@ -26,17 +30,10 @@ from .classes import (
     SignSetMatrix,
     SignSets,
     UnsupportedClassError,
-    augment_with_kernel_rep,
-    class_contains,
-    d_of_signsets,
-    enumerate_patterns,
     format_interval_box_text,
     format_signsets_text,
     parse_interval_box_text,
     parse_signsets_text,
-    signsets_of_box,
-    symbolic_product,
-    symbolic_view,
 )
 from .crn import (
     KineticsMode,
@@ -47,7 +44,6 @@ from .crn import (
     parse_network,
     serialize_network,
 )
-from .detroute import DetAnalysis, DetSign, det_sign_analysis, symbolic_determinant
 from .injectivity import (
     Problem,
     PositivityCertificate,
@@ -65,35 +61,29 @@ from .linalg import (
     MatrixTextError,
     RationalMatrix,
     Subspace,
-    determinant,
     format_matrix_text,
-    kernel_basis,
     parse_matrix_text,
-    rank,
 )
-from .oracle import OracleConfig, falsify, sample_class, sample_member
-from .signroute import (
-    SignRouteHit,
-    SignRouteResult,
-    concordant_pair,
-    kernel_sign_vectors,
-    pair_sign_feasible,
-    realize_sign_in_subspace,
-    sign_route,
-    subspace_sign_vectors,
-)
-from .signs import (
-    ALL_SIGN_SETS,
-    SignVector,
-    all_sign_vectors,
-    format_sign_set,
-    parse_sign_set,
-    sigma,
-    sign_leq,
-    sign_orthogonal,
-    signset_row_orthogonal,
-)
+from .oracle import OracleConfig, falsify
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # problems, decisions and certificates
+    "Problem", "Route", "Status", "Verdict", "SingularWitness", "PositivityCertificate",
+    "check_injectivity", "verify_certificate", "build_witness", "lift_monomial_witness",
+    # matrix classes and their text formats
+    "MatrixClass", "Member", "Scaled", "SignPattern", "SignSets", "Interval", "Product",
+    "SignSetMatrix", "IntervalBox", "IntervalEntry", "UnsupportedClassError",
+    "parse_signsets_text", "format_signsets_text",
+    "parse_interval_box_text", "format_interval_box_text",
+    # exact matrices and subspaces
+    "RationalMatrix", "Subspace", "MatrixTextError", "parse_matrix_text", "format_matrix_text",
+    # work caps
+    "Caps", "DEFAULT_CAPS", "CapExceeded",
+    # the randomized falsifier
+    "OracleConfig", "falsify",
+    # reaction networks
+    "Network", "Reaction", "KineticsMode", "NetworkTextError",
+    "parse_network", "serialize_network", "build_problem",
+]

@@ -17,20 +17,13 @@ Atom naming (stable within a run, positional within each factor):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .limits import CapExceeded, Caps, DEFAULT_CAPS
-from .linalg import RationalMatrix, Subspace, rat, rat_vector
-from .signs import (
-    SignSet,
-    SignVector,
-    format_sign_set,
-    parse_sign_set,
-    sigma,
-    sign_of,
-)
+from .limits import CapExceeded, DEFAULT_CAPS
+from .linalg import RationalMatrix, Subspace, rat
+from .signs import SignSet, format_sign_set, parse_sign_set, sign_of
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -178,12 +171,6 @@ class IntervalBox:
             self.entries[i][j].contains(M.at(i, j))
             for i in range(self.rows)
             for j in range(self.cols)
-        )
-
-    def pick_member(self) -> RationalMatrix:
-        return RationalMatrix(
-            self.rows, self.cols,
-            [[e.pick_point() for e in row] for row in self.entries],
         )
 
 
@@ -599,7 +586,7 @@ def monomial_text(mono: Monomial) -> str:
 
 
 class Poly:
-    """Polynomial over Q in named atoms; the SymbolicEntry type of this library."""
+    """Polynomial over Q in named atoms: the entries of a symbolic view."""
 
     __slots__ = ("terms",)
 
@@ -682,14 +669,6 @@ class Poly:
             total += val
         return total
 
-    def degree_in(self, name: str) -> int:
-        deg = 0
-        for m in self.terms:
-            for a, e in m:
-                if a == name:
-                    deg = max(deg, e)
-        return deg
-
     def split(self, name: str) -> tuple["Poly", "Poly"]:
         """Write self = name * P1 + P0; requires degree <= 1 in name."""
         p1: dict[Monomial, Fraction] = {}
@@ -722,11 +701,6 @@ class Poly:
             else:
                 out[key] = s
         return Poly(out)
-
-    def substitute_linear(self, name: str, replacement: "Poly") -> "Poly":
-        """Replace an atom (degree <= 1) by a polynomial."""
-        p1, p0 = self.split(name)
-        return p1 * replacement + p0
 
     def is_multilinear(self) -> bool:
         return all(e <= 1 for m in self.terms for _, e in m)
@@ -764,9 +738,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-SymbolicEntry = Poly
 
 
 # ---------------------------------------------------------------------------
@@ -1009,12 +980,6 @@ def symbolic_view(cls: MatrixClass, namer: Optional[_AtomNamer] = None) -> Symbo
 
         return SymbolicView(rows, cls.cols, grid, atoms, build_cc)
     raise UnsupportedClassError(f"no symbolic view for {type(cls).__name__}")
-
-
-def symbolic_product(left: Union[RationalMatrix, MatrixClass],
-                     right: MatrixClass) -> SymbolicView:
-    """Symbolic view of {L R : R in right} (left fixed) or {L R : L in left, R in right}."""
-    return symbolic_view(Product(left, right))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,26 @@
 """Injectivity decisions with machine-checkable certificates.
 
 A Problem asks: is the map family injective on cosets of S, i.e. is there no
-class member M and z in S \\ {0} with (A) M z = 0? The answer is reached by
+class member M and z in S \\ {0} with (A) M z = 0? S = {0} is injective
+(route TRIVIAL). Otherwise the answer comes from these steps:
 
-* the determinant route - square case only (class rows equal dim S after the
-  left matrix is folded in): sign of det over the augmented class [Z; M],
+* det - square case only (class rows equal dim S after the left matrix is
+  folded in): the sign of det over the augmented class [Z; M];
+* sign - a sweep over sigma(S \\ {0}) and, with a left matrix, over
+  {0} union sigma(ker A \\ {0}), one exact feasibility question per pair;
+* pattern union - a sign-set class is the union of its sign patterns, so the
+  verdict is the conjunction of the per-pattern verdicts;
+* falsifier fallback - a MIXED determinant table no exact step resolved gets
+  2000 trials of the randomized falsifier, then INCONCLUSIVE.
 
-* the sign route - a sweep over sigma(S \\ {0}) and, with a left matrix, over
-  {0} union sigma(ker A \\ {0}), one exact feasibility question per pair,
+`_ROUTES` lists, for each `route` value, the steps in the order they run; the
+first step that returns a verdict decides:
 
-* the pattern union - a sign-set class is the union of its sign patterns, so
-  the verdict is the conjunction of the per-pattern verdicts.
+    auto           det, sign, pattern union, falsifier fallback, INCONCLUSIVE
+    det            det, INCONCLUSIVE (not square, or no analysis), sign,
+                   pattern union, falsifier fallback
+    sign           sign, INCONCLUSIVE
+    pattern-union  pattern union, INCONCLUSIVE
 
 NOT_INJECTIVE always carries a SingularWitness: an exact class member (with
 its membership evidence) and an exact z in S \\ {0} it kills, plus, for scaled
@@ -28,27 +38,23 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .classes import (
-    Augmented,
-    Interval,
     MatrixClass,
     Member,
     Product,
     Scaled,
     SignPattern,
     SignSets,
-    SignSetMatrix,
+    UnsupportedClassError,
     augment_with_kernel_rep,
     class_contains,
     enumerate_patterns,
 )
 from .detroute import DetAnalysis, DetSign, det_sign_analysis
-from .classes import UnsupportedClassError
 from .limits import CapExceeded, Caps, DEFAULT_CAPS
 from .linalg import RationalMatrix, Subspace, kernel_basis, rat_vector
 from .signroute import SignRouteHit, sign_route, subspace_sign_vectors
 from .signs import SignVector, sigma
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -71,7 +77,6 @@ class Problem:
     matrices: MatrixClass
     S: Subspace
     left: Optional[RationalMatrix] = None
-    full_dimensional_domain: bool = True
     note: str = ""
 
     def __post_init__(self):
@@ -227,30 +232,34 @@ def _lift_points_once(v, w) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(xs), tuple(ys)
 
 
-def _monomial_image(B: RationalMatrix, point: Sequence[float]) -> list[float]:
+def _log_monomial_image(B: RationalMatrix, point: Sequence[float]) -> list[float]:
     logs = [math.log(p) for p in point]
-    return [
-        math.exp(sum(float(B.at(i, j)) * logs[j] for j in range(B.cols)))
-        for i in range(B.rows)
-    ]
+    return [sum(float(B.at(i, j)) * logs[j] for j in range(B.cols)) for i in range(B.rows)]
+
+
+def _relative_gap(la: float, lb: float) -> float:
+    """|a - b| / max(|a|, |b|, 1) for a = e^la, b = e^lb. Where e^la or e^lb
+    overflows, the max is above 1 and the gap is -expm1(-|la - lb|)."""
+    try:
+        a, b = math.exp(la), math.exp(lb)
+    except OverflowError:
+        return -math.expm1(-abs(la - lb))
+    return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
 def _build_monomial_lift(B: RationalMatrix, v, w, kappa, z,
                          A: Optional[RationalMatrix]) -> dict:
     x, y = _lift_points(v, w)
-    fx = _monomial_image(B, x)
-    fy = _monomial_image(B, y)
-    diffs = [a - b for a, b in zip(fx, fy)]
+    lx = _log_monomial_image(B, x)
+    ly = _log_monomial_image(B, y)
     if A is None:
-        residual = max(
-            (abs(d) / max(abs(a), abs(b), 1.0) for d, a, b in zip(diffs, fx, fy)),
-            default=0.0,
-        )
-        kappa_map = [float(k) for k in (kappa or [_ONE] * B.rows)]
+        residual = max((_relative_gap(a, b) for a, b in zip(lx, ly)), default=0.0)
+        kappa_map = None
     else:
         # map coefficients that send the image difference onto the exact
         # kernel vector kappa * Bv of the left matrix: the signs of
         # x^B - y^B match those of Bv, so the ratios are positive
+        diffs = [math.exp(a) - math.exp(b) for a, b in zip(lx, ly)]
         w_mid = B.apply(v)
         y_exact = [float(k) * float(t) for k, t in zip(kappa or [_ONE] * B.rows, w_mid)]
         kappa_map = []
@@ -275,7 +284,7 @@ def _build_monomial_lift(B: RationalMatrix, v, w, kappa, z,
         "x": list(x),
         "y": list(y),
         "kappa": [float(k) for k in (kappa or [_ONE] * B.rows)],
-        "kappa_map": kappa_map if A is not None else None,
+        "kappa_map": kappa_map,
         "max_residual": max(residual, drift),
     }
 
@@ -345,9 +354,7 @@ def build_witness(problem: Problem, evidence: Union[SignRouteHit, DetAnalysis],
         witness = _witness_from_assignment(A, cls, evidence)
     else:
         raise TypeError(f"unsupported evidence {type(evidence).__name__}")
-    problem_check = _check_witness(problem, witness, tol=1e-9)
-    if problem_check is not None:
-        raise ArithmeticError(f"constructed witness failed verification: {problem_check}")
+    _require_witness(problem, witness, "constructed witness")
     return witness
 
 
@@ -392,6 +399,14 @@ def _check_witness(problem: Problem, witness: SingularWitness, tol: float) -> Op
     return None
 
 
+def _require_witness(problem: Problem, witness: SingularWitness, source: str) -> None:
+    """Raise unless a witness this package built passes verify_certificate's
+    checks: a witness that fails them is a fault of the checker."""
+    reason = _check_witness(problem, witness, tol=1e-9)
+    if reason is not None:
+        raise ArithmeticError(f"{source} failed its own check: {reason}")
+
+
 def verify_certificate(verdict: Verdict, problem: Problem,
                        caps: Optional[Caps] = None, tol: float = 1e-9) -> bool:
     """Recheck what the verdict claims.
@@ -417,17 +432,113 @@ def verify_certificate(verdict: Verdict, problem: Problem,
 
 
 # ---------------------------------------------------------------------------
-# routes
+# the route table
 
 
-def _sign_route_supported(cls: MatrixClass) -> bool:
-    if isinstance(cls, (Scaled, SignPattern, SignSets, Interval)):
-        return True
-    if isinstance(cls, Product) and not isinstance(cls.left, RationalMatrix):
-        return isinstance(cls.left, (SignPattern, SignSets)) and isinstance(
-            cls.right, (Scaled, SignPattern, SignSets)
-        )
-    return False
+@dataclass
+class _Run:
+    """What the steps of one decision share. `analysis` is the MIXED
+    determinant analysis the determinant step leaves for the later steps."""
+
+    problem: Problem
+    caps: Caps
+    A: Optional[RationalMatrix]
+    cls: MatrixClass
+    rows: int
+    diagnostics: dict
+    analysis: Optional[DetAnalysis] = None
+
+    @property
+    def square(self) -> bool:
+        return self.rows == self.problem.S.dim
+
+
+def _inconclusive(run: _Run, method: Route, reason: str) -> Verdict:
+    run.diagnostics["reason"] = reason
+    return Verdict(Status.INCONCLUSIVE, method, None, run.diagnostics)
+
+
+def _det_step(run: _Run) -> Optional[Verdict]:
+    """Square case: the sign of det over the augmented class [Z; M]."""
+    if not run.square:
+        return None
+    diagnostics = run.diagnostics
+    effcls = run.cls if run.A is None else Product(run.A, run.cls)
+    try:
+        analysis = det_sign_analysis(augment_with_kernel_rep(run.problem.S, effcls), run.caps)
+    except (UnsupportedClassError, CapExceeded) as exc:
+        diagnostics["det_route_fallback"] = str(exc)
+        return None
+    diagnostics["det_sign"] = analysis.sign.value
+    diagnostics["det_kind"] = analysis.kind
+    if analysis.sign in (DetSign.POS, DetSign.NEG, DetSign.NONZERO):
+        cert = PositivityCertificate("determinant", analysis.certificate_payload())
+        return Verdict(Status.INJECTIVE, Route.DET, cert, diagnostics)
+    if analysis.sign is DetSign.ZERO or analysis.zero_assignment is not None:
+        witness = _witness_from_assignment(run.A, run.cls, analysis)
+        _require_witness(run.problem, witness, "determinant witness")
+        return Verdict(Status.NOT_INJECTIVE, Route.DET, witness, diagnostics)
+    # MIXED monomial table: the table alone does not locate a zero
+    if analysis.table is not None:
+        diagnostics["det_table_homogeneous"] = analysis.table.homogeneous
+        diagnostics["det_table_distinct_supports"] = analysis.table.distinct_supports
+    run.analysis = analysis
+    return None
+
+
+def _det_inconclusive(run: _Run) -> Optional[Verdict]:
+    """Forced det: INCONCLUSIVE unless the determinant step left a MIXED
+    analysis for the later steps."""
+    if not run.square:
+        return _inconclusive(run, Route.DET,
+                             f"determinant route needs a square augmented class "
+                             f"(rows {run.rows} vs dim S {run.problem.S.dim})")
+    if run.analysis is None:
+        return _inconclusive(run, Route.DET, run.diagnostics["det_route_fallback"])
+    return None
+
+
+def _table_forces_a_zero(run: _Run) -> bool:
+    """A MIXED homogeneous table with distinct supports over one sign pattern
+    has a singular member, so the sign sweep must find one."""
+    table = run.analysis.table if run.analysis is not None else None
+    cls = run.cls
+    return (table is not None and table.homogeneous and table.distinct_supports
+            and (isinstance(cls, (Scaled, SignPattern))
+                 or (isinstance(cls, SignSets) and cls.W.is_pattern)))
+
+
+def _sign_step(run: _Run) -> Optional[Verdict]:
+    """The sign sweep, exact and complete for the class shapes sign_route
+    serves. A witness found after a MIXED determinant resolves that table."""
+    diagnostics = run.diagnostics
+    S = run.problem.S
+    try:
+        srr = sign_route(run.cls, S, run.A, run.caps)
+    except CapExceeded as exc:
+        diagnostics["sign_route_fallback"] = str(exc)
+        return None
+    if not srr.supported:
+        return None
+    diagnostics.update({f"sign_{k}": v for k, v in srr.diagnostics.items()})
+    if srr.injective:
+        if _table_forces_a_zero(run):
+            raise ArithmeticError(
+                "inconsistent routes: mixed homogeneous determinant table "
+                "but the sign sweep found no singular pair"
+            )
+        cert = _sweep_certificate(S, srr.diagnostics, run.caps)
+        return Verdict(Status.INJECTIVE, Route.SIGN, cert, diagnostics)
+    witness = _witness_from_hit(run.A, srr.hit)
+    _require_witness(run.problem, witness, "sign-route witness")
+    if run.analysis is None:
+        return Verdict(Status.NOT_INJECTIVE, Route.SIGN, witness, diagnostics)
+    diagnostics["mixed_resolution"] = "sign-route witness"
+    return Verdict(Status.NOT_INJECTIVE, Route.DET, witness, diagnostics)
+
+
+def _sign_inconclusive(run: _Run) -> Verdict:
+    return _inconclusive(run, Route.SIGN, f"no sign route for {run.cls.describe()}")
 
 
 def _sweep_certificate(S: Subspace, diag: dict, caps: Caps) -> PositivityCertificate:
@@ -441,29 +552,25 @@ def _sweep_certificate(S: Subspace, diag: dict, caps: Caps) -> PositivityCertifi
     return PositivityCertificate("sign-sweep", payload)
 
 
-def _pattern_union(problem: Problem, A: Optional[RationalMatrix], cls: MatrixClass,
-                   caps: Caps, diagnostics: dict) -> Optional[Verdict]:
+def _pattern_union_step(run: _Run) -> Optional[Verdict]:
+    """A sign-set class (alone or as the outer factor of a product) is the
+    union of its sign patterns: decide each pattern with the auto route."""
+    cls, diagnostics = run.cls, run.diagnostics
     if isinstance(cls, SignSets):
-        W = cls.W
-        def rebuild(pat: SignPattern) -> MatrixClass:
-            return pat
-    elif (isinstance(cls, Product) and isinstance(cls.left, SignSets)):
-        W = cls.left.W
-        inner_cls = cls.right
-        def rebuild(pat: SignPattern) -> MatrixClass:
-            return Product(pat, inner_cls)
+        W, rebuild = cls.W, lambda pat: pat
+    elif isinstance(cls, Product) and isinstance(cls.left, SignSets):
+        W, rebuild = cls.left.W, lambda pat: Product(pat, cls.right)
     else:
         return None
     try:
-        patterns = enumerate_patterns(W, caps.patterns)
+        patterns = enumerate_patterns(W, run.caps.patterns)
     except CapExceeded as exc:
         diagnostics["pattern_union"] = str(exc)
         return None
-    statuses = []
+    injective = True
     for idx, pat in enumerate(patterns):
-        sub = Problem(rebuild(pat), problem.S, left=A,
-                      full_dimensional_domain=problem.full_dimensional_domain)
-        sub_verdict = check_injectivity(sub, caps=caps)
+        sub = Problem(rebuild(pat), run.problem.S, left=run.A)
+        sub_verdict = check_injectivity(sub, caps=run.caps)
         if sub_verdict.status is Status.NOT_INJECTIVE:
             diagnostics["patterns_checked"] = idx + 1
             diagnostics["pattern_total"] = len(patterns)
@@ -472,147 +579,88 @@ def _pattern_union(problem: Problem, A: Optional[RationalMatrix], cls: MatrixCla
             ]
             return Verdict(Status.NOT_INJECTIVE, Route.PATTERN_UNION,
                            sub_verdict.certificate, diagnostics)
-        statuses.append(sub_verdict.status)
+        injective = injective and sub_verdict.status is Status.INJECTIVE
     diagnostics["patterns_checked"] = len(patterns)
-    if all(s is Status.INJECTIVE for s in statuses):
-        cert = PositivityCertificate(
-            "pattern-union", {"patterns": len(patterns), "each": "INJECTIVE"}
-        )
+    if injective:
+        cert = PositivityCertificate("pattern-union",
+                                     {"patterns": len(patterns), "each": "INJECTIVE"})
         return Verdict(Status.INJECTIVE, Route.PATTERN_UNION, cert, diagnostics)
     diagnostics["pattern_union"] = "some patterns inconclusive"
     return Verdict(Status.INCONCLUSIVE, Route.PATTERN_UNION, None, diagnostics)
 
 
-def _oracle_fallback(problem: Problem, diagnostics: dict) -> Optional[SingularWitness]:
+def _pattern_union_inconclusive(run: _Run) -> Verdict:
+    return _inconclusive(run, Route.PATTERN_UNION, "pattern union needs sign-set entries")
+
+
+def _mixed_det_fallback(run: _Run) -> Optional[Verdict]:
+    """A MIXED determinant no exact step resolved (a class product the sign
+    route does not serve, or a cap): 2000 falsifier trials, then INCONCLUSIVE
+    with the table as its certificate."""
+    if run.analysis is None:
+        return None
     from .oracle import OracleConfig, falsify
 
+    diagnostics = run.diagnostics
     cfg = OracleConfig(trials=2000, seed=0)
-    hit = falsify(problem, cfg)
+    hit = falsify(run.problem, cfg)
     diagnostics["falsifier_trials"] = cfg.trials
-    return hit
+    if hit is not None:
+        diagnostics["mixed_resolution"] = "random falsifier"
+        return Verdict(Status.NOT_INJECTIVE, Route.DET, hit, diagnostics)
+    cert = PositivityCertificate("determinant", run.analysis.certificate_payload())
+    diagnostics["reason"] = "mixed determinant table and no exact route for this class shape"
+    return Verdict(Status.INCONCLUSIVE, Route.DET, cert, diagnostics)
+
+
+def _no_route(run: _Run) -> Verdict:
+    return _inconclusive(run, Route.NONE, f"no route applies to {run.cls.describe()}")
+
+
+# For each `route` value, the steps in the order they run; the first verdict
+# wins, and the last step of every route always returns one.
+_ROUTES = {
+    "auto": (_det_step, _sign_step, _pattern_union_step, _mixed_det_fallback, _no_route),
+    "det": (_det_step, _det_inconclusive, _sign_step, _pattern_union_step,
+            _mixed_det_fallback),
+    "sign": (_sign_step, _sign_inconclusive),
+    "pattern-union": (_pattern_union_step, _pattern_union_inconclusive),
+}
 
 
 def check_injectivity(problem: Problem, caps: Optional[Caps] = None,
                       route: Optional[str] = None) -> Verdict:
     """Decide injectivity on cosets of S and certify the answer.
 
-    route: None/'auto' picks the determinant route in the square case and the
-    sign route otherwise; 'det', 'sign', 'pattern-union' force one route and
-    return INCONCLUSIVE (with the reason) when it does not apply.
+    S = {0} is INJECTIVE (route TRIVIAL) under every route. Otherwise the
+    steps of `route` (None means 'auto') run in this order until one returns
+    a verdict:
+
+        auto           det, sign, pattern union, falsifier fallback,
+                       INCONCLUSIVE (route NONE)
+        det            det, INCONCLUSIVE (not square, or no analysis), sign,
+                       pattern union, falsifier fallback
+        sign           sign, INCONCLUSIVE
+        pattern-union  pattern union, INCONCLUSIVE
     """
-    if caps is None:
-        caps = DEFAULT_CAPS
-    route = (route or "auto").lower().replace("_", "-")
-    if route not in ("auto", "det", "sign", "pattern-union"):
-        raise ValueError(f"unknown route {route!r}")
+    name = (route or "auto").lower().replace("_", "-")
+    if name not in _ROUTES:
+        raise ValueError(f"unknown route {name!r}")
     S = problem.S
     diagnostics: dict = {"ambient_dim": S.n, "subspace_dim": S.dim}
     if problem.note:
         diagnostics["note"] = problem.note
-
     if S.dim == 0:
         cert = PositivityCertificate(
             "trivial", {"reason": "S = {0}: distinct points never differ by an element of S"}
         )
         return Verdict(Status.INJECTIVE, Route.TRIVIAL, cert, diagnostics)
-
     A, cls = effective_parts(problem)
-    eff_rows = A.rows if A is not None else cls.rows
-    square = eff_rows == S.dim
-    diagnostics["square"] = square
-
-    if route == "pattern-union":
-        out = _pattern_union(problem, A, cls, caps, diagnostics)
-        if out is not None:
-            return out
-        diagnostics["reason"] = "pattern union needs sign-set entries"
-        return Verdict(Status.INCONCLUSIVE, Route.PATTERN_UNION, None, diagnostics)
-
-    expect_not_injective = False
-    analysis: Optional[DetAnalysis] = None
-    if route in ("auto", "det") and square:
-        effcls = cls if A is None else Product(A, cls)
-        try:
-            aug = augment_with_kernel_rep(S, effcls)
-            analysis = det_sign_analysis(aug, caps)
-        except (UnsupportedClassError, CapExceeded) as exc:
-            diagnostics["det_route_fallback"] = str(exc)
-        if analysis is not None:
-            diagnostics["det_sign"] = analysis.sign.value
-            diagnostics["det_kind"] = analysis.kind
-            if analysis.sign in (DetSign.POS, DetSign.NEG, DetSign.NONZERO):
-                cert = PositivityCertificate("determinant", analysis.certificate_payload())
-                return Verdict(Status.INJECTIVE, Route.DET, cert, diagnostics)
-            if analysis.sign is DetSign.ZERO or analysis.zero_assignment is not None:
-                witness = _witness_from_assignment(A, cls, analysis)
-                reason = _check_witness(problem, witness, tol=1e-9)
-                if reason is not None:
-                    raise ArithmeticError(f"determinant witness failed its own check: {reason}")
-                return Verdict(Status.NOT_INJECTIVE, Route.DET, witness, diagnostics)
-            # MIXED monomial table: the table alone does not locate a zero;
-            # defer to the sign route (exact and complete for these classes)
-            table = analysis.table
-            if table is not None:
-                diagnostics["det_table_homogeneous"] = table.homogeneous
-                diagnostics["det_table_distinct_supports"] = table.distinct_supports
-                expect_not_injective = (
-                    table.homogeneous
-                    and table.distinct_supports
-                    and (isinstance(cls, (Scaled, SignPattern))
-                         or (isinstance(cls, SignSets) and cls.W.is_pattern))
-                )
-    elif route == "det" and not square:
-        diagnostics["reason"] = (
-            f"determinant route needs a square augmented class "
-            f"(rows {eff_rows} vs dim S {S.dim})"
-        )
-        return Verdict(Status.INCONCLUSIVE, Route.DET, None, diagnostics)
-    if route == "det" and analysis is None:
-        diagnostics.setdefault("reason", diagnostics.get("det_route_fallback", "no analysis"))
-        return Verdict(Status.INCONCLUSIVE, Route.DET, None, diagnostics)
-
-    if route in ("auto", "sign", "det") and _sign_route_supported(cls):
-        try:
-            srr = sign_route(cls, S, A, caps)
-        except CapExceeded as exc:
-            diagnostics["sign_route_fallback"] = str(exc)
-            srr = None
-        if srr is not None and srr.supported:
-            diagnostics.update({f"sign_{k}": v for k, v in srr.diagnostics.items()})
-            if srr.injective:
-                if expect_not_injective:
-                    raise ArithmeticError(
-                        "inconsistent routes: mixed homogeneous determinant table "
-                        "but the sign sweep found no singular pair"
-                    )
-                cert = _sweep_certificate(S, srr.diagnostics, caps)
-                return Verdict(Status.INJECTIVE, Route.SIGN, cert, diagnostics)
-            witness = _witness_from_hit(A, srr.hit)
-            reason = _check_witness(problem, witness, tol=1e-9)
-            if reason is not None:
-                raise ArithmeticError(f"sign-route witness failed its own check: {reason}")
-            if analysis is not None:
-                diagnostics["mixed_resolution"] = "sign-route witness"
-            return Verdict(Status.NOT_INJECTIVE,
-                           Route.SIGN if analysis is None else Route.DET,
-                           witness, diagnostics)
-
-    if route == "sign":
-        diagnostics["reason"] = f"no sign route for {cls.describe()}"
-        return Verdict(Status.INCONCLUSIVE, Route.SIGN, None, diagnostics)
-
-    # auto: remaining fallbacks
-    out = _pattern_union(problem, A, cls, caps, diagnostics)
-    if out is not None:
-        return out
-    if analysis is not None:
-        # mixed determinant over a class product: try the falsifier briefly
-        hit = _oracle_fallback(problem, diagnostics)
-        if hit is not None:
-            diagnostics["mixed_resolution"] = "random falsifier"
-            return Verdict(Status.NOT_INJECTIVE, Route.DET, hit, diagnostics)
-        cert = PositivityCertificate("determinant", analysis.certificate_payload())
-        diagnostics["reason"] = "mixed determinant table and no exact route for this class shape"
-        return Verdict(Status.INCONCLUSIVE, Route.DET, cert, diagnostics)
-    diagnostics["reason"] = f"no route applies to {cls.describe()}"
-    return Verdict(Status.INCONCLUSIVE, Route.NONE, None, diagnostics)
+    run = _Run(problem, caps or DEFAULT_CAPS, A, cls,
+               A.rows if A is not None else cls.rows, diagnostics)
+    diagnostics["square"] = run.square
+    for step in _ROUTES[name]:
+        verdict = step(run)
+        if verdict is not None:
+            return verdict
+    raise AssertionError(f"route {name!r} ended without a verdict")

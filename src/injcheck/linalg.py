@@ -14,8 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
-
 
 def rat(value) -> Fraction:
     """Coerce an int, Fraction, or exact literal string to Fraction.
@@ -119,10 +117,6 @@ class RationalMatrix:
         if self.cols != other.cols:
             raise ValueError("vstack column mismatch")
         return RationalMatrix(self.rows + other.rows, self.cols, list(self.data) + list(other.data))
-
-    def scale(self, c) -> "RationalMatrix":
-        c = rat(c)
-        return RationalMatrix(self.rows, self.cols, [[c * v for v in row] for row in self.data])
 
     @property
     def shape(self) -> tuple[int, int]:

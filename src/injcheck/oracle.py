@@ -40,7 +40,7 @@ from .classes import (
 from .injectivity import (
     Problem,
     SingularWitness,
-    _check_witness,
+    _require_witness,
     effective_parts,
     witness_from_aug_member,
 )
@@ -138,10 +138,6 @@ def sample_member(cls: MatrixClass, rng: random.Random, magnitude: int = 9) -> M
         return Member(cls.Z.vstack(im.matrix), "augmented",
                       factors=(Member(cls.Z, "matrix"), im))
     raise UnsupportedClassError(f"no sampler for {type(cls).__name__}")
-
-
-def sample_class(cls: MatrixClass, rng: random.Random, magnitude: int = 9) -> RationalMatrix:
-    return sample_member(cls, rng, magnitude).matrix
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +293,7 @@ def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[Si
         # more unknowns than constraints: every member is singular
         member = sample_member(aug, rng, cfg.magnitude)
         witness = witness_from_aug_member(A, cls, member)
-        _require_valid(problem, witness)
+        _require_witness(problem, witness, "falsifier witness")
         return witness
 
     try:
@@ -313,12 +309,6 @@ def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[Si
     return _falsify_tall(problem, A, cls, view, cfg)
 
 
-def _require_valid(problem: Problem, witness: SingularWitness) -> None:
-    reason = _check_witness(problem, witness, tol=1e-9)
-    if reason is not None:
-        raise ArithmeticError(f"falsifier produced an invalid witness: {reason}")
-
-
 def _falsify_by_exact_sampling(problem, A, cls, aug, rng, cfg) -> Optional[SingularWitness]:
     """No symbolic view (multi-sign sign sets) or no parameters at all:
     exact kernel check per trial."""
@@ -327,7 +317,7 @@ def _falsify_by_exact_sampling(problem, A, cls, aug, rng, cfg) -> Optional[Singu
         member = sample_member(aug, rng, cfg.magnitude)
         if kernel_basis(member.matrix).cols > 0:
             witness = witness_from_aug_member(A, cls, member)
-            _require_valid(problem, witness)
+            _require_witness(problem, witness, "falsifier witness")
             return witness
     return None
 
@@ -340,6 +330,16 @@ def _sample_assignments(view, compiled, nprng, T) -> np.ndarray:
         pick = nprng.uniform(size=T)
         cols.append(_float_domain_sample(e, u, pick))
     return np.stack(cols, axis=1)
+
+
+def _snap_sample(view, compiled, sample: np.ndarray, cfg) -> Optional[dict]:
+    """An exact assignment with every atom snapped into its domain, or None
+    when some sampled float has no rational to snap to (inf, nan)."""
+    try:
+        return {name: _snap_into(view.atoms[name].domain, float(sample[k]), cfg.snap_denominator)
+                for k, name in enumerate(compiled.names)}
+    except (ValueError, OverflowError):
+        return None
 
 
 def _falsify_square(problem, A, cls, view, cfg) -> Optional[SingularWitness]:
@@ -366,23 +366,15 @@ def _falsify_square(problem, A, cls, view, cfg) -> Optional[SingularWitness]:
                 break
             if not nearly_zero:
                 attempts += 1
-            assignment = {}
-            ok = True
-            for k, name in enumerate(compiled.names):
-                e = view.atoms[name].domain
-                try:
-                    assignment[name] = _snap_into(e, float(samples[t, k]), cfg.snap_denominator)
-                except (ValueError, OverflowError):
-                    ok = False
-                    break
-            if not ok:
+            assignment = _snap_sample(view, compiled, samples[t], cfg)
+            if assignment is None:
                 continue
             solved = _root_solve(view, assignment, compiled.names)
             if solved is None:
                 continue
             member = view.build_member(solved)
             witness = witness_from_aug_member(A, cls, member)
-            _require_valid(problem, witness)
+            _require_witness(problem, witness, "falsifier witness")
             return witness
     return None
 
@@ -403,21 +395,13 @@ def _falsify_tall(problem, A, cls, view, cfg) -> Optional[SingularWitness]:
         for t in np.argsort(ratio)[:8]:
             if ratio[t] > 1e-7:
                 break
-            assignment = {}
-            ok = True
-            for k, name in enumerate(compiled.names):
-                e = view.atoms[name].domain
-                try:
-                    assignment[name] = _snap_into(e, float(samples[t, k]), cfg.snap_denominator)
-                except (ValueError, OverflowError):
-                    ok = False
-                    break
-            if not ok:
+            assignment = _snap_sample(view, compiled, samples[t], cfg)
+            if assignment is None:
                 continue
             member = view.build_member(assignment)
             if kernel_basis(member.matrix).cols == 0:
                 continue
             witness = witness_from_aug_member(A, cls, member)
-            _require_valid(problem, witness)
+            _require_witness(problem, witness, "falsifier witness")
             return witness
     return None

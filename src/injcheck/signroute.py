@@ -491,7 +491,6 @@ class SignRouteHit:
     tau: SignVector
     rho: Optional[SignVector]
     lift_data: Optional[tuple] = None  # (B, v, w) exact data for a monomial lift
-    note: str = ""
 
 
 @dataclass
@@ -499,7 +498,6 @@ class SignRouteResult:
     supported: bool
     injective: Optional[bool] = None
     hit: Optional[SignRouteHit] = None
-    reason: str = ""
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -554,6 +552,18 @@ def _scaled_witness(B: RationalMatrix, S: Subspace, A: Optional[RationalMatrix],
     return SignRouteHit(member, tuple(z), tau, rho, lift_data=(B, v_lift, tuple(z)))
 
 
+def _signsets_of(cls: MatrixClass) -> SignSetMatrix:
+    return cls.to_signsets() if isinstance(cls, SignPattern) else cls.W
+
+
+def _serves(cls: MatrixClass, A: Optional[RationalMatrix]) -> bool:
+    if isinstance(cls, (Scaled, SignPattern, SignSets, Interval)):
+        return True
+    return (A is None and isinstance(cls, Product)
+            and isinstance(cls.left, (SignPattern, SignSets))
+            and isinstance(cls.right, (Scaled, SignPattern, SignSets)))
+
+
 def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
                caps: Optional[Caps] = None) -> SignRouteResult:
     """Decide injectivity by the sign sweep for the supported class shapes.
@@ -561,7 +571,10 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
     Supported: Scaled, SignPattern, SignSets, Interval (each optionally with a
     left matrix A), and the left-free class products SignSets x Scaled,
     SignPattern x Scaled, SignSets x SignSets and mixtures of those two kinds.
+    Any other shape comes back unsupported before sigma(S) is computed.
     """
+    if not _serves(cls, A):
+        return SignRouteResult(False)
     if caps is None:
         caps = DEFAULT_CAPS
     taus = subspace_sign_vectors(S, caps)
@@ -585,7 +598,7 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
         return SignRouteResult(True, injective=True, diagnostics=diag)
 
     if isinstance(cls, (SignPattern, SignSets)):
-        W = cls.to_signsets() if isinstance(cls, SignPattern) else cls.W
+        W = _signsets_of(cls)
         rhos = _rho_candidates(A, W.rows, caps)
         diag["rhos"] = len(rhos)
         for tau in taus:
@@ -623,24 +636,14 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
                                        diagnostics=diag)
         return SignRouteResult(True, injective=True, diagnostics=diag)
 
-    if isinstance(cls, Product) and not isinstance(cls.left, RationalMatrix):
-        if A is not None:
-            return SignRouteResult(False, reason="left matrix over a class product")
-        outer, inner = cls.left, cls.right
-        if isinstance(outer, (SignPattern, SignSets)):
-            W_out = outer.to_signsets() if isinstance(outer, SignPattern) else outer.W
-            mid = inner.rows
-            if mid > caps.sign_enum_dim:
-                raise CapExceeded("sign_enum_dim", mid, caps.sign_enum_dim)
-            if isinstance(inner, Scaled):
-                return _route_signsets_scaled(W_out, inner.B, S, taus, diag, caps)
-            if isinstance(inner, (SignPattern, SignSets)):
-                W_in = inner.to_signsets() if isinstance(inner, SignPattern) else inner.W
-                return _route_signsets_signsets(W_out, W_in, S, taus, diag)
-        return SignRouteResult(False,
-                               reason=f"no sign route for {cls.describe()}")
-
-    return SignRouteResult(False, reason=f"no sign route for {cls.describe()}")
+    # a left-free product whose outer factor is a sign-set class
+    W_out = _signsets_of(cls.left)
+    inner = cls.right
+    if inner.rows > caps.sign_enum_dim:
+        raise CapExceeded("sign_enum_dim", inner.rows, caps.sign_enum_dim)
+    if isinstance(inner, Scaled):
+        return _route_signsets_scaled(W_out, inner.B, S, taus, diag, caps)
+    return _route_signsets_signsets(W_out, _signsets_of(inner), S, taus, diag)
 
 
 def _route_signsets_scaled(W_out: SignSetMatrix, B: RationalMatrix, S: Subspace,
@@ -675,8 +678,7 @@ def _route_signsets_scaled(W_out: SignSetMatrix, B: RationalMatrix, S: Subspace,
             outer_member = Member(H, "signsets")
             member = Member(H.matmul(Bhat), "product",
                             factors=(outer_member, inner_member))
-            hit = SignRouteHit(member, tuple(z), tau, rho_mid,
-                               note="middle sign vector is the image sign")
+            hit = SignRouteHit(member, tuple(z), tau, rho_mid)
             return SignRouteResult(True, injective=False, hit=hit, diagnostics=diag)
     return SignRouteResult(True, injective=True, diagnostics=diag)
 

@@ -74,9 +74,6 @@ class SignVector:
     def is_zero(self) -> bool:
         return all(s == 0 for s in self.entries)
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.entries) if s != 0)
-
 
 def sigma(x: Sequence) -> SignVector:
     """Componentwise sign of an exact rational vector."""

@@ -88,6 +88,18 @@ class TestExitCodes:
         assert verdict.status is Status.NOT_INJECTIVE
         assert verify_certificate(verdict, problem)
 
+    def test_overflowing_monomials_compare_in_log_space(self, capsys):
+        # x^B overflows a float on the first coordinate of the lift
+        code, out, err = run(capsys, "monomial", "--B", "1000 1")
+        assert code == 1
+        assert "status: NOT_INJECTIVE" in out
+        assert "colliding points:" in out
+        assert "internal error" not in err
+        problem = Problem(Scaled(RationalMatrix.from_rows([[1000, 1]])), Subspace.full(2))
+        verdict = check_injectivity(problem)
+        assert verdict.certificate.monomial_lift["max_residual"] <= 1e-9
+        assert verify_certificate(verdict, problem)
+
 
 class TestClassCommands:
     def test_left_matrix_full_plane(self, capsys):

@@ -8,6 +8,7 @@ from oracles import enumerate_subspace_signs, lp_concordant
 
 from injcheck.classes import (
     Interval,
+    Product,
     Scaled,
     SignPattern,
     SignSets,
@@ -366,6 +367,21 @@ class TestIntervalRoute:
                 member = interval_member_through(D, z, tuple(targets))
                 assert D.contains(member)
                 assert member.apply(z) == tuple(targets)
+
+
+class TestUnsupportedShapes:
+    @pytest.mark.parametrize("cls, left", [
+        (Product(Interval(parse_interval_box_text("(0,1)")),
+                 Interval(parse_interval_box_text("(0,1) (0,1)"))), None),
+        (Product(SignSets(parse_signsets_text("+ -\n+ +")), Scaled(M([1, 1], [0, 1]))),
+         M([1, 1])),
+    ])
+    def test_rejected_before_sign_vectors(self, monkeypatch, cls, left):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sigma(S) computed for a shape the sweep cannot serve")
+
+        monkeypatch.setattr(signroute, "subspace_sign_vectors", refuse)
+        assert not sign_route(cls, Subspace.full(2), left).supported
 
 
 def _row_range(D, i, z):
