@@ -247,6 +247,20 @@ def _relative_gap(la: float, lb: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
+def _log_scale_row(la: float, lb: float, target: float) -> tuple[float, float]:
+    """Map coefficient and mapped difference of a row whose image e^la or
+    e^lb overflows a float. The difference is e^top * gap with top the larger
+    log image, so the coefficient carries the factor e^-top (0.0 once that is
+    below the float range) and the mapped difference stays finite: the target
+    itself, or the relative gap where there is no target to reach."""
+    top = max(la, lb)
+    gap = math.copysign(-math.expm1(-abs(la - lb)), la - lb)
+    if gap == 0.0 or target == 0.0:
+        return math.exp(-top), gap
+    ratio = target / gap
+    return math.copysign(math.exp(math.log(abs(ratio)) - top), ratio), target
+
+
 def _build_monomial_lift(B: RationalMatrix, v, w, kappa, z,
                          A: Optional[RationalMatrix]) -> dict:
     x, y = _lift_points(v, w)
@@ -259,16 +273,20 @@ def _build_monomial_lift(B: RationalMatrix, v, w, kappa, z,
         # map coefficients that send the image difference onto the exact
         # kernel vector kappa * Bv of the left matrix: the signs of
         # x^B - y^B match those of Bv, so the ratios are positive
-        diffs = [math.exp(a) - math.exp(b) for a, b in zip(lx, ly)]
         w_mid = B.apply(v)
         y_exact = [float(k) * float(t) for k, t in zip(kappa or [_ONE] * B.rows, w_mid)]
         kappa_map = []
-        for i, d in enumerate(diffs):
-            if abs(d) > 1e-300 and y_exact[i] != 0.0:
-                kappa_map.append(y_exact[i] / d)
-            else:
-                kappa_map.append(1.0)
-        mapped = [km * d for km, d in zip(kappa_map, diffs)]
+        mapped = []
+        for a, b, target in zip(lx, ly, y_exact):
+            try:
+                d = math.exp(a) - math.exp(b)
+            except OverflowError:
+                coeff, image_diff = _log_scale_row(a, b, target)
+                kappa_map.append(coeff)
+                mapped.append(image_diff)
+                continue
+            kappa_map.append(target / d if abs(d) > 1e-300 and target != 0.0 else 1.0)
+            mapped.append(kappa_map[-1] * d)
         image = [
             sum(float(A.at(i, j)) * mapped[j] for j in range(A.cols))
             for i in range(A.rows)
@@ -590,7 +608,9 @@ def _pattern_union_step(run: _Run) -> Optional[Verdict]:
 
 
 def _pattern_union_inconclusive(run: _Run) -> Verdict:
-    return _inconclusive(run, Route.PATTERN_UNION, "pattern union needs sign-set entries")
+    """The pattern cap when the pattern union hit it, else the class shape."""
+    reason = run.diagnostics.get("pattern_union", "pattern union needs sign-set entries")
+    return _inconclusive(run, Route.PATTERN_UNION, reason)
 
 
 def _mixed_det_fallback(run: _Run) -> Optional[Verdict]:

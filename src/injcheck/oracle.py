@@ -2,17 +2,32 @@
 of S.
 
 This is the only module that touches floating point for anything other than
-reporting. Floats are used purely as a screen: batches of random members are
-checked with vectorized determinants (or smallest singular values in the tall
-case), and only near-singular candidates are handed to exact arithmetic. A
-reported hit is always an exact SingularWitness that passed the same checks
-verify_certificate runs; a miss is only ever "no hit in N trials".
+reporting. Floats are used purely as a screen, and only candidates that pass
+it are handed to exact arithmetic. A reported hit is always an exact
+SingularWitness that passed the same checks verify_certificate runs; a miss is
+only ever "no hit in N trials".
 
-Determinants of augmented members are affine in each single parameter (every
-atom appears in one row, one column, or one entry), so a near miss is finished
-off exactly: freeze all parameters but one, interpolate the determinant from
-two exact evaluations, and move the free parameter to the exact root if the
-root stays inside its domain.
+Every class goes through the symbolic view of its augmented class [Z; M]. A
+sign-set factor with several signs in some entry is first replaced by its
+interval hull (d_of_signsets), which holds exactly the same matrices. A wide
+view (fewer rows than unknowns) makes every member singular and a view
+without atoms is a single matrix, so one exact member decides both. Any other
+view runs one search loop: draw a batch of atom values, screen the float
+members, snap the best candidates to small rationals inside their domains,
+repair them exactly, and return the first witness. The shape of the view
+picks the screen and the repair once, before the loop:
+
+* square: |det| / prod ||row_i||; the determinant is affine in each single
+  atom (every atom appears in one row, one column, or one entry), so a near
+  miss is finished off by moving one atom to the exact root of two exact
+  evaluations, if that root stays inside its domain;
+* tall: sigma_min / sigma_max; a candidate is kept when its exact kernel is
+  nontrivial.
+
+The float draw lands on an atom's distinguished points (its closed finite
+endpoints, and 0 when its domain contains 0) with a fixed share of the draws,
+because a member that is singular only there, such as one with a discrete
+zero of a sign set, has probability zero under a continuous draw.
 """
 
 from __future__ import annotations
@@ -31,10 +46,8 @@ from .classes import (
     MatrixClass,
     Member,
     Product,
-    Scaled,
-    SignPattern,
     SignSets,
-    UnsupportedClassError,
+    d_of_signsets,
     symbolic_view,
 )
 from .injectivity import (
@@ -97,58 +110,67 @@ def _sample_entry(e: IntervalEntry, rng: random.Random, magnitude: int) -> Fract
     return e.lower + t * (e.upper - e.lower)
 
 
+def _hull(cls: MatrixClass) -> MatrixClass:
+    """The same set of matrices with every multi-sign SignSets factor replaced
+    by its interval hull, so that every class has a symbolic view."""
+    if isinstance(cls, SignSets) and not cls.W.is_pattern:
+        return Interval(d_of_signsets(cls.W))
+    if isinstance(cls, Product):
+        left = cls.left if isinstance(cls.left, RationalMatrix) else _hull(cls.left)
+        return Product(left, _hull(cls.right))
+    if isinstance(cls, Augmented):
+        return Augmented(cls.Z, _hull(cls.inner))
+    return cls
+
+
 def sample_member(cls: MatrixClass, rng: random.Random, magnitude: int = 9) -> Member:
     """Exact random member with membership evidence, uniform-ish over small
-    rationals. Every output passes class_contains by construction."""
-    if isinstance(cls, Scaled):
-        kappa = tuple(_positive_fraction(rng, magnitude) for _ in range(cls.rows))
-        lam = tuple(_positive_fraction(rng, magnitude) for _ in range(cls.cols))
-        M = RationalMatrix(
-            cls.rows, cls.cols,
-            [[kappa[i] * cls.B.at(i, j) * lam[j] for j in range(cls.cols)]
-             for i in range(cls.rows)],
-        )
-        return Member(M, "scaled", kappa=kappa, lam=lam)
-    if isinstance(cls, SignPattern):
-        data = [[s * _positive_fraction(rng, magnitude) if s else _ZERO
-                 for s in row] for row in cls.signs]
-        return Member(RationalMatrix(cls.rows, cls.cols, data), "pattern")
-    if isinstance(cls, SignSets):
-        data = []
-        for i in range(cls.rows):
-            row = []
-            for j in range(cls.cols):
-                s = rng.choice(sorted(cls.W.at(i, j)))
-                row.append(s * _positive_fraction(rng, magnitude) if s else _ZERO)
-            data.append(row)
-        return Member(RationalMatrix(cls.rows, cls.cols, data), "signsets")
-    if isinstance(cls, Interval):
-        data = [[_sample_entry(cls.D.at(i, j), rng, magnitude)
-                 for j in range(cls.cols)] for i in range(cls.rows)]
-        return Member(RationalMatrix(cls.rows, cls.cols, data), "interval")
-    if isinstance(cls, Product):
-        if isinstance(cls.left, RationalMatrix):
-            lm = Member(cls.left, "matrix")
-        else:
-            lm = sample_member(cls.left, rng, magnitude)
-        rm = sample_member(cls.right, rng, magnitude)
-        return Member(lm.matrix.matmul(rm.matrix), "product", factors=(lm, rm))
-    if isinstance(cls, Augmented):
-        im = sample_member(cls.inner, rng, magnitude)
-        return Member(cls.Z.vstack(im.matrix), "augmented",
-                      factors=(Member(cls.Z, "matrix"), im))
-    raise UnsupportedClassError(f"no sampler for {type(cls).__name__}")
+    rationals: each atom of the class's symbolic view is drawn with
+    _sample_entry, in the view's order, and the view builds the member. Every
+    output passes class_contains by construction."""
+    view = symbolic_view(_hull(cls))
+    return view.build_member({name: _sample_entry(info.domain, rng, magnitude)
+                              for name, info in view.atoms.items()})
 
 
 # ---------------------------------------------------------------------------
 # float screening
 
 
+_POINT_SHARE = 1 / 8  # share of the `pick` stream that lands on each distinguished point
+
+
+def _distinguished_points(e: IntervalEntry) -> list[Fraction]:
+    """The entry's closed finite endpoints, then 0 when the entry contains it."""
+    points = [p for p, is_open in ((e.lower, e.lower_open), (e.upper, e.upper_open))
+              if p is not None and not is_open]
+    if e.contains(_ZERO) and _ZERO not in points:
+        points.append(_ZERO)
+    return points
+
+
 def _float_domain_sample(e: IntervalEntry, u: np.ndarray, pick: np.ndarray) -> np.ndarray:
-    """Map uniforms u in (0,1) into the entry, vectorized. `pick` is a second
-    uniform stream used for sign choices of punctured entries."""
+    """Map uniforms u in (0,1) into the entry, vectorized.
+
+    `pick` is a second uniform stream. Its first 1/8 per distinguished point
+    selects that point: a continuous draw never lands on an endpoint or on 0,
+    and a member singular only there (a discrete zero of a sign set) would
+    otherwise never be sampled. The rest of `pick`, rescaled to [0,1), chooses
+    the half of a punctured entry. An entry without distinguished points (open
+    and excluding 0) maps u and pick exactly as they come.
+    """
     if e.is_point:
         return np.full_like(u, float(e.lower))
+    points = _distinguished_points(e)
+    share = _POINT_SHARE * len(points)
+    x = _float_spread(e, u, (pick - share) / (1.0 - share))
+    slot = np.floor(pick / _POINT_SHARE)
+    for k, p in enumerate(points):
+        x = np.where(slot == k, float(p), x)
+    return x
+
+
+def _float_spread(e: IntervalEntry, u: np.ndarray, pick: np.ndarray) -> np.ndarray:
     if e.punctured:
         lo = float(e.lower) if e.lower is not None else -1e6
         hi = float(e.upper) if e.upper is not None else 1e6
@@ -173,27 +195,17 @@ def _snap_into(e: IntervalEntry, x: float, snap_den: int) -> Fraction:
     if e.contains(f):
         return f
     # nudge toward the interior
-    candidates = []
-    if e.lower is not None:
-        step = Fraction(1, 64)
-        width = (e.upper - e.lower) if e.upper is not None else None
-        if width is not None:
-            step = width / 64
-        candidates.append(e.lower + step)
-    if e.upper is not None:
-        step = Fraction(1, 64)
-        width = (e.upper - e.lower) if e.lower is not None else None
-        if width is not None:
-            step = width / 64
-        candidates.append(e.upper - step)
-    for c in candidates:
-        if e.contains(c):
-            return c
+    bounded = e.lower is not None and e.upper is not None
+    step = (e.upper - e.lower) / 64 if bounded else Fraction(1, 64)
+    for end, inward in ((e.lower, step), (e.upper, -step)):
+        if end is not None and e.contains(end + inward):
+            return end + inward
     return e.pick_point()
 
 
 class _CompiledGrid:
-    """Vectorized float evaluation of a symbolic augmented grid."""
+    """Vectorized float evaluation of a symbolic augmented grid, with its
+    atoms in one fixed (sorted) order."""
 
     def __init__(self, view):
         self.view = view
@@ -213,6 +225,15 @@ class _CompiledGrid:
                 row.append(terms)
             self.entries.append(row)
 
+    def sample(self, nprng, T: int) -> np.ndarray:
+        """(T, n_atoms) float atom values, each inside its domain."""
+        cols = []
+        for name in self.names:
+            u = nprng.uniform(1e-4, 1.0 - 1e-4, size=T)
+            pick = nprng.uniform(size=T)
+            cols.append(_float_domain_sample(self.view.atoms[name].domain, u, pick))
+        return np.stack(cols, axis=1)
+
     def matrices(self, samples: np.ndarray) -> np.ndarray:
         """samples: (T, n_atoms) -> (T, rows, cols) float matrices."""
         T = samples.shape[0]
@@ -228,6 +249,28 @@ class _CompiledGrid:
                 out[:, i, j] = acc
         return out
 
+    def snap(self, sample: np.ndarray, snap_den: int) -> Optional[dict]:
+        """An exact assignment with every atom snapped into its domain, or
+        None when some sampled float has no rational to snap to (inf, nan)."""
+        try:
+            return {name: _snap_into(self.view.atoms[name].domain, float(sample[k]), snap_den)
+                    for k, name in enumerate(self.names)}
+        except (ValueError, OverflowError):
+            return None
+
+
+def _det_ratio(mats: np.ndarray) -> np.ndarray:
+    """|det| / prod ||row_i|| of square float members."""
+    dets = np.linalg.det(mats)
+    norms = np.linalg.norm(mats, axis=2)
+    return np.abs(dets) / np.prod(np.maximum(norms, 1e-30), axis=1)
+
+
+def _sigma_ratio(mats: np.ndarray) -> np.ndarray:
+    """sigma_min / sigma_max of tall float members."""
+    svals = np.linalg.svd(mats, compute_uv=False)
+    return svals[:, -1] / np.maximum(svals[:, 0], 1e-30)
+
 
 def _exact_det_at(view, assignment: dict) -> Fraction:
     """Exact determinant of the grid at an assignment, without the member
@@ -237,16 +280,17 @@ def _exact_det_at(view, assignment: dict) -> Fraction:
     return determinant(RationalMatrix(view.rows, view.cols, entries))
 
 
-def _root_solve(view, assignment: dict, names) -> Optional[dict]:
-    """Move one parameter to make the augmented determinant exactly zero.
+def _root_solve(grid: _CompiledGrid, assignment: dict) -> Optional[Member]:
+    """Move one atom to make the augmented determinant exactly zero.
 
     The determinant is affine in each single atom, so two exact evaluations
-    determine the root. Returns the completed assignment or None.
+    determine the root. Returns the singular member or None.
     """
+    view = grid.view
     d0 = _exact_det_at(view, assignment)
     if d0 == 0:
-        return assignment
-    for name in names:
+        return view.build_member(assignment)
+    for name in grid.names:
         base = assignment[name]
         shifted = dict(assignment)
         shifted[name] = base + 1
@@ -255,14 +299,19 @@ def _root_solve(view, assignment: dict, names) -> Optional[dict]:
         if alpha == 0:
             continue
         root = base - d0 / alpha
-        info = view.atoms[name]
-        if not info.domain.contains(root):
+        if not view.atoms[name].domain.contains(root):
             continue
         done = dict(assignment)
         done[name] = root
         if _exact_det_at(view, done) == 0:
-            return done
+            return view.build_member(done)
     return None
+
+
+def _kernel_check(grid: _CompiledGrid, assignment: dict) -> Optional[Member]:
+    """The member at the assignment if its exact kernel is nontrivial."""
+    member = grid.view.build_member(assignment)
+    return member if kernel_basis(member.matrix).cols else None
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +321,9 @@ def _root_solve(view, assignment: dict, names) -> Optional[dict]:
 def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[SingularWitness]:
     """Search for an exact singular witness; None means no hit in cfg.trials.
 
-    Deterministic for a fixed config: the screen uses numpy's seeded
-    generator, exact sampling uses the stdlib generator with the same seed.
+    Deterministic for a fixed config: the search loop uses numpy's seeded
+    generator, the one exact member of a wide or parameter-free class the
+    stdlib generator with the same seed.
     """
     if cfg is None:
         cfg = OracleConfig()
@@ -281,127 +331,49 @@ def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[Si
     S = problem.S
     if S.dim == 0:
         return None
-    Z = S.kernel_rep()
     effcls = cls if A is None else Product(A, cls)
-    aug = Augmented(Z, effcls)
-    rng = random.Random(cfg.seed)
+    aug = _hull(Augmented(S.kernel_rep(), effcls))
+    view = symbolic_view(aug)
 
-    eff_rows = A.rows if A is not None else cls.rows
-    aug_rows = Z.rows + eff_rows
+    if view.rows < S.n or not view.atoms:
+        # wide: more unknowns than constraints, every member is singular;
+        # no atoms: the class is a single matrix, one kernel check decides
+        member = sample_member(aug, random.Random(cfg.seed), cfg.magnitude)
+        if kernel_basis(member.matrix).cols == 0:
+            return None
+        return _witness(problem, A, cls, member)
 
-    if aug_rows < S.n:
-        # more unknowns than constraints: every member is singular
-        member = sample_member(aug, rng, cfg.magnitude)
-        witness = witness_from_aug_member(A, cls, member)
-        _require_witness(problem, witness, "falsifier witness")
-        return witness
-
-    try:
-        view = symbolic_view(aug)
-    except UnsupportedClassError:
-        view = None
-
-    if view is None or not view.atoms:
-        return _falsify_by_exact_sampling(problem, A, cls, aug, rng, cfg)
-
-    if aug_rows == S.n:
-        return _falsify_square(problem, A, cls, view, cfg)
-    return _falsify_tall(problem, A, cls, view, cfg)
-
-
-def _falsify_by_exact_sampling(problem, A, cls, aug, rng, cfg) -> Optional[SingularWitness]:
-    """No symbolic view (multi-sign sign sets) or no parameters at all:
-    exact kernel check per trial."""
-    trials = min(cfg.trials, 4096)
-    for _ in range(trials):
-        member = sample_member(aug, rng, cfg.magnitude)
-        if kernel_basis(member.matrix).cols > 0:
-            witness = witness_from_aug_member(A, cls, member)
-            _require_witness(problem, witness, "falsifier witness")
-            return witness
-    return None
-
-
-def _sample_assignments(view, compiled, nprng, T) -> np.ndarray:
-    cols = []
-    for name in compiled.names:
-        e = view.atoms[name].domain
-        u = nprng.uniform(1e-4, 1.0 - 1e-4, size=T)
-        pick = nprng.uniform(size=T)
-        cols.append(_float_domain_sample(e, u, pick))
-    return np.stack(cols, axis=1)
-
-
-def _snap_sample(view, compiled, sample: np.ndarray, cfg) -> Optional[dict]:
-    """An exact assignment with every atom snapped into its domain, or None
-    when some sampled float has no rational to snap to (inf, nan)."""
-    try:
-        return {name: _snap_into(view.atoms[name].domain, float(sample[k]), cfg.snap_denominator)
-                for k, name in enumerate(compiled.names)}
-    except (ValueError, OverflowError):
-        return None
-
-
-def _falsify_square(problem, A, cls, view, cfg) -> Optional[SingularWitness]:
-    compiled = _CompiledGrid(view)
+    grid = _CompiledGrid(view)
+    if view.rows == S.n:
+        # candidates below screen_tol are free (all but certainly singular
+        # already); any other root solve draws on the exact-work budget,
+        # after which only screening continues
+        screen, free_below, budget, repair = (
+            _det_ratio, cfg.screen_tol, cfg.max_exact_attempts, _root_solve)
+    else:
+        # tall: only candidates below the cutoff get an exact kernel check
+        screen, free_below, budget, repair = _sigma_ratio, 1e-7, 0, _kernel_check
     nprng = np.random.default_rng(cfg.seed)
-    remaining = cfg.trials
     attempts = 0
-    while remaining > 0:
-        T = min(cfg.batch, remaining)
-        remaining -= T
-        samples = _sample_assignments(view, compiled, nprng, T)
-        mats = compiled.matrices(samples)
-        dets = np.linalg.det(mats)
-        norms = np.linalg.norm(mats, axis=2)
-        scale = np.prod(np.maximum(norms, 1e-30), axis=1)
-        near = np.abs(dets) / scale
-        order = np.argsort(near)
-        for t in order[: min(8, T)]:
-            # candidates below screen_tol are free (all but certainly singular
-            # already); anything else is a repair attempt and draws on the
-            # exact-work budget, after which only screening continues
-            nearly_zero = near[t] <= cfg.screen_tol
-            if not nearly_zero and attempts >= cfg.max_exact_attempts:
-                break
-            if not nearly_zero:
-                attempts += 1
-            assignment = _snap_sample(view, compiled, samples[t], cfg)
-            if assignment is None:
-                continue
-            solved = _root_solve(view, assignment, compiled.names)
-            if solved is None:
-                continue
-            member = view.build_member(solved)
-            witness = witness_from_aug_member(A, cls, member)
-            _require_witness(problem, witness, "falsifier witness")
-            return witness
-    return None
-
-
-def _falsify_tall(problem, A, cls, view, cfg) -> Optional[SingularWitness]:
-    """More rows than unknowns: screen with the smallest singular value, then
-    confirm candidates with an exact kernel computation."""
-    compiled = _CompiledGrid(view)
-    nprng = np.random.default_rng(cfg.seed)
     remaining = cfg.trials
     while remaining > 0:
         T = min(cfg.batch, remaining)
         remaining -= T
-        samples = _sample_assignments(view, compiled, nprng, T)
-        mats = compiled.matrices(samples)
-        svals = np.linalg.svd(mats, compute_uv=False)
-        ratio = svals[:, -1] / np.maximum(svals[:, 0], 1e-30)
-        for t in np.argsort(ratio)[:8]:
-            if ratio[t] > 1e-7:
-                break
-            assignment = _snap_sample(view, compiled, samples[t], cfg)
-            if assignment is None:
-                continue
-            member = view.build_member(assignment)
-            if kernel_basis(member.matrix).cols == 0:
-                continue
-            witness = witness_from_aug_member(A, cls, member)
-            _require_witness(problem, witness, "falsifier witness")
-            return witness
+        samples = grid.sample(nprng, T)
+        score = screen(grid.matrices(samples))
+        for t in np.argsort(score)[:8]:
+            if score[t] > free_below:
+                if attempts >= budget:
+                    break
+                attempts += 1
+            assignment = grid.snap(samples[t], cfg.snap_denominator)
+            member = None if assignment is None else repair(grid, assignment)
+            if member is not None:
+                return _witness(problem, A, cls, member)
     return None
+
+
+def _witness(problem: Problem, A, cls, aug_member: Member) -> SingularWitness:
+    witness = witness_from_aug_member(A, cls, aug_member)
+    _require_witness(problem, witness, "falsifier witness")
+    return witness

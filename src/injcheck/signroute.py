@@ -70,16 +70,17 @@ def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[Sig
     """
     if caps is None:
         caps = DEFAULT_CAPS
+    n = S.n
+    if S.dim == 0:
+        return ()
+    # the cap comes before the cache: a verdict under a cap must not depend
+    # on what an earlier call with other caps left on S
+    if n > caps.sign_enum_dim:
+        raise CapExceeded("sign_enum_dim", n, caps.sign_enum_dim)
     cache_key = "sign_vectors"
     cached = S._sign_vectors_cache.get(cache_key)
     if cached is not None:
         return cached
-    n = S.n
-    if S.dim == 0:
-        S._sign_vectors_cache[cache_key] = ()
-        return ()
-    if n > caps.sign_enum_dim:
-        raise CapExceeded("sign_enum_dim", n, caps.sign_enum_dim)
     if S.kernel_rep().rows == 0:
         out = tuple(SignVector(c) for c in itertools.product((-1, 0, 1), repeat=n)
                     if any(c))

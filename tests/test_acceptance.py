@@ -251,9 +251,9 @@ def test_criterion_08_sign_set_verdict_is_the_pattern_conjunction():
                 for pat in enumerate_patterns(W)
             )
             assert (verdict.status is Status.INJECTIVE) == conjunction, W
-            # multi-sign classes fall back to exact sampling in the falsifier,
-            # which is too slow to run 2401 times; sample those, audit every
-            # refined pattern and every witness in full
+            # criterion 09 runs 100k falsifier trials per INJECTIVE verdict
+            # under a time budget: it takes every pattern class and 1 in 5
+            # multi-sign classes, and audits every witness in full
             record(p, verdict, falsify_eligible=W.is_pattern or n_seen % 5 == 0)
             n_seen += 1
         assert n_seen == 7 ** 4

@@ -2,11 +2,13 @@ import json
 import shutil
 import subprocess
 
+import pytest
+
 import injcheck.cli
 from injcheck.classes import Scaled
 from injcheck.cli import EXIT_INTERNAL, run_command
 from injcheck.injectivity import Problem, Status, check_injectivity, verify_certificate
-from injcheck.linalg import RationalMatrix, Subspace
+from injcheck.linalg import RationalMatrix, Subspace, parse_matrix_text
 
 
 def run(capsys, *argv):
@@ -97,6 +99,28 @@ class TestExitCodes:
         assert "internal error" not in err
         problem = Problem(Scaled(RationalMatrix.from_rows([[1000, 1]])), Subspace.full(2))
         verdict = check_injectivity(problem)
+        assert verdict.certificate.monomial_lift["max_residual"] <= 1e-9
+        assert verify_certificate(verdict, problem)
+
+    @pytest.mark.parametrize("B, A", [
+        ("1000 1", "1;"),         # the overflowing row has no target to reach
+        ("2000 1;1 1", "1 -1"),   # it has one
+    ])
+    def test_overflowing_monomials_with_a_left_matrix(self, capsys, tmp_path, B, A):
+        r = tmp_path / "lift.json"
+        code, out, err = run(capsys, "monomial", "--B", B, "--A", A, "--report", str(r))
+        assert code == 1
+        assert "status: NOT_INJECTIVE" in out
+        assert "internal error" not in err
+
+        def no_inf_or_nan(name):
+            raise AssertionError(f"{name} in the report")
+
+        json.loads(r.read_text(), parse_constant=no_inf_or_nan)
+        problem = Problem(Scaled(parse_matrix_text(B.replace(";", "\n"))), Subspace.full(2),
+                          left=parse_matrix_text(A.replace(";", "\n")))
+        verdict = check_injectivity(problem)
+        assert verdict.status is Status.NOT_INJECTIVE
         assert verdict.certificate.monomial_lift["max_residual"] <= 1e-9
         assert verify_certificate(verdict, problem)
 

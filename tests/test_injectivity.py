@@ -26,6 +26,7 @@ from injcheck.injectivity import (
     lift_monomial_witness,
     verify_certificate,
 )
+from injcheck.limits import DEFAULT_CAPS
 from injcheck.linalg import RationalMatrix, Subspace, kernel_basis
 
 F = Fraction
@@ -247,6 +248,14 @@ class TestRouteForcing:
         p = Problem(Scaled(M([1, 1], [2, 1])), Subspace.full(2))
         verdict = check_injectivity(p, route="pattern-union")
         assert verdict.status is Status.INCONCLUSIVE
+
+    def test_sign_cap_holds_after_a_cached_decision(self):
+        S = Subspace.full(3)
+        p = Problem(Scaled(M([1, 1, 1])), S)
+        capped = DEFAULT_CAPS.with_overrides(sign_enum_dim=2)
+        assert check_injectivity(p, caps=capped).status is Status.INCONCLUSIVE
+        assert check_injectivity(p).status is Status.NOT_INJECTIVE
+        assert check_injectivity(p, caps=capped).status is Status.INCONCLUSIVE
 
 
 class TestMonomialLift:

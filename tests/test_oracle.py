@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from injcheck.classes import (
     Interval,
     Product,
@@ -95,15 +97,30 @@ class TestFalsify:
         p = Problem(Interval(D), Subspace.full(2))
         assert falsify(p, OracleConfig(trials=300, seed=3)) is None
 
-    def test_discrete_zero_choice_found_by_exact_sampling(self):
-        # multi-sign entries block the symbolic view; the samplers must
-        # still land on the singular diagonal member with a zero entry
+    def test_discrete_zero_choice_is_found(self):
+        # the 0+ entry is a [0,inf) atom of the interval hull; the search
+        # must land on its distinguished point 0, the singular diagonal member
         W = parse_signsets_text("0+ 0\n0 +")
         p = Problem(SignSets(W), Subspace.full(2))
         w = falsify(p, OracleConfig(trials=200, seed=0))
         assert w is not None
         assert W.contains(w.member.matrix)
         assert all(x == 0 for x in w.member.matrix.apply(w.z))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("text", [
+        "0+ -; 0+ +",       # square, singular only when both 0+ entries are 0
+        "0+ 0; 0 +; 0+ 0",  # tall, same
+        "* 0; 0 +; 0 0",    # tall, singular only when the * entry is 0
+    ])
+    def test_discrete_zeros_are_hit_with_the_default_config(self, text, seed):
+        W = parse_signsets_text(text.replace("; ", "\n"))
+        p = Problem(SignSets(W), Subspace.full(2))
+        w = falsify(p, OracleConfig(seed=seed))
+        assert w is not None
+        assert W.contains(w.member.matrix)
+        assert all(x == 0 for x in w.member.matrix.apply(w.z))
+        assert any(x != 0 for x in w.z)
 
     def test_composed_problem_hit(self):
         N = M([1, -1], [-1, 1])
