@@ -362,6 +362,10 @@ def _cmd_signs(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
+    for flag in ("trials", "seed"):
+        if getattr(args, flag) < 0:
+            raise _UsageError(f"--{flag} must be >= 0, got {getattr(args, flag)}")
+    cfg = OracleConfig(trials=args.trials, seed=args.seed)
     echo: dict
     if args.crn is not None:
         if any(getattr(args, k) is not None for k in ("B", "W", "D")):
@@ -378,7 +382,6 @@ def _cmd_falsify(args) -> int:
         S, s_echo = _parse_subspace(args.S, cls.cols)
         echo["S"] = s_echo
         problem = Problem(cls, S, left=A)
-    cfg = OracleConfig(trials=args.trials, seed=args.seed)
     hit = falsify(problem, cfg)
     if hit is None:
         print(f"no singular member found in {args.trials} trials (seed {args.seed})")

@@ -6,8 +6,12 @@ class member M and z in S \\ {0} with (A) M z = 0? S = {0} is injective
 
 * det - square case only (class rows equal dim S after the left matrix is
   folded in): the sign of det over the augmented class [Z; M];
-* sign - a sweep over sigma(S \\ {0}) and, with a left matrix, over
-  {0} union sigma(ker A \\ {0}), one exact feasibility question per pair;
+* sign - one sweep over the pairs (tau, rho): tau in sigma(S \\ {0}), rho
+  a sign of the inner factor's image that the left side sends to 0 (0 alone,
+  {0} union sigma(ker A \\ {0}) behind a left matrix A, or what every row of
+  an outer sign-set factor can be orthogonal to); the inner factor tests each
+  pair, exactly by LP for Scaled, by signs for sign sets; an interval class
+  is swept over tau alone, one LP each;
 * pattern union - a sign-set class is the union of its sign patterns, so the
   verdict is the conjunction of the per-pattern verdicts;
 * falsifier fallback - a MIXED determinant table no exact step resolved gets

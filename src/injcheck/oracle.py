@@ -72,6 +72,11 @@ class OracleConfig:
     snap_denominator: int = 10 ** 6
     max_exact_attempts: int = 64
 
+    def __post_init__(self):
+        for name in ("trials", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"OracleConfig.{name} must be >= 0, got {getattr(self, name)}")
+
 
 # ---------------------------------------------------------------------------
 # exact random members

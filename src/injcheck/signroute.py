@@ -2,13 +2,18 @@
 feasibility, and construct singular members when the answer is negative.
 
 The driving fact: for z in a subspace S and positive scalings lambda, the
-vectors lambda * z sweep the whole open sign orthant of sigma(z). Injectivity
-questions about a class acting on S therefore reduce to a finite sweep over
-tau in sigma(S \\ {0}) (and, with a left factor A, over rho in {0} union
-sigma(ker A \\ {0})) with one exact feasibility question per pair. The swept
-sets themselves need no feasibility question: they are the signs of the
-elementary vectors, closed under conformal composition
-(`subspace_sign_vectors`).
+vectors lambda * z sweep the whole open sign orthant of sigma(z). A class
+served here is an inner factor (Scaled or sign sets) behind a left side, and
+it has a singular member exactly when some pair (tau, rho) passes the inner
+factor's test: tau in sigma(S \\ {0}), rho a sign of the inner image that the
+left side can send to 0. The left side contributes only the list of rho:
+the zero vector alone when there is none, {0} union sigma(ker A \\ {0}) for a
+left matrix A, and the sign vectors every row of an outer sign-set factor can
+be orthogonal to. The test is one exact feasibility question for Scaled and a
+sign test for sign sets; an Interval class is swept over tau alone, one
+feasibility question each. sigma(S) and sigma(ker A) need no feasibility
+question: they are the signs of the elementary vectors, closed under
+conformal composition (`subspace_sign_vectors`).
 
 Every search is lexicographic (-1 < 0 < +1) and the first feasible pair is the
 one a witness is built from, so runs are reproducible bit for bit.
@@ -513,46 +518,6 @@ def _achievable_row_signs(brow: Sequence[Fraction], tau: SignVector) -> frozense
     return frozenset({-1, 0, 1})
 
 
-def _rho_candidates(A: Optional[RationalMatrix], rows: int,
-                    caps: Caps) -> list[SignVector]:
-    zero = SignVector.zero(rows)
-    if A is None:
-        return [zero]
-    kernel = kernel_sign_vectors(A, caps)
-    combined = sorted({zero.entries} | {k.entries for k in kernel})
-    return [SignVector(c) for c in combined]
-
-
-def _scaled_witness(B: RationalMatrix, S: Subspace, A: Optional[RationalMatrix],
-                    tau: SignVector, rho: SignVector,
-                    v: tuple[Fraction, ...]) -> SignRouteHit:
-    z = realize_sign_in_subspace(S, tau)
-    if z is None:
-        raise ArithmeticError(f"{tau} not realizable in S")
-    lam = tuple(v[j] / z[j] if z[j] != 0 else _ONE for j in range(len(z)))
-    if any(l <= 0 for l in lam):
-        raise ArithmeticError("scaling went nonpositive; sign bookkeeping broken")
-    w = B.apply(v)
-    if rho.is_zero():
-        kappa = tuple([_ONE] * B.rows)
-        if any(x != 0 for x in w):
-            raise ArithmeticError("kernel pair produced a nonzero image")
-    else:
-        y = strict_sign_feasible(A, rho)
-        if y is None:
-            raise ArithmeticError(f"{rho} not realizable in ker of the left matrix")
-        kappa = tuple(y[i] / w[i] if w[i] != 0 else _ONE for i in range(B.rows))
-        if any(k <= 0 for k in kappa):
-            raise ArithmeticError("row scaling went nonpositive")
-    matrix = RationalMatrix(
-        B.rows, B.cols,
-        [[kappa[i] * B.at(i, j) * lam[j] for j in range(B.cols)] for i in range(B.rows)],
-    )
-    member = Member(matrix, "scaled", kappa=kappa, lam=lam)
-    v_lift = tuple(lam[j] * z[j] for j in range(len(z)))
-    return SignRouteHit(member, tuple(z), tau, rho, lift_data=(B, v_lift, tuple(z)))
-
-
 def _signsets_of(cls: MatrixClass) -> SignSetMatrix:
     return cls.to_signsets() if isinstance(cls, SignPattern) else cls.W
 
@@ -573,6 +538,13 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
     left matrix A), and the left-free class products SignSets x Scaled,
     SignPattern x Scaled, SignSets x SignSets and mixtures of those two kinds.
     Any other shape comes back unsupported before sigma(S) is computed.
+
+    Every shape but Interval runs one loop over the pairs (tau, rho): the
+    left side (none, A, or an outer sign-set factor) supplies the list of rho
+    (`_left_zero_signs`), the inner factor tests each pair (the
+    `pair_sign_feasible` LP after a row-sign prefilter for Scaled,
+    `concordant_pair` for sign sets), and `_hit` builds the witness of the
+    first pair that passes. Interval runs one LP per tau.
     """
     if not _serves(cls, A):
         return SignRouteResult(False)
@@ -580,49 +552,6 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
         caps = DEFAULT_CAPS
     taus = subspace_sign_vectors(S, caps)
     diag = {"taus": len(taus), "pairs_checked": 0}
-
-    if isinstance(cls, Scaled):
-        B = cls.B
-        rhos = _rho_candidates(A, B.rows, caps)
-        diag["rhos"] = len(rhos)
-        for tau in taus:
-            row_options = [_achievable_row_signs(B.row(i), tau) for i in range(B.rows)]
-            for rho in rhos:
-                if any(rho[i] not in row_options[i] for i in range(B.rows)):
-                    continue
-                diag["pairs_checked"] += 1
-                v = pair_sign_feasible(B, tau, rho)
-                if v is not None:
-                    hit = _scaled_witness(B, S, A, tau, rho, v)
-                    return SignRouteResult(True, injective=False, hit=hit,
-                                           diagnostics=diag)
-        return SignRouteResult(True, injective=True, diagnostics=diag)
-
-    if isinstance(cls, (SignPattern, SignSets)):
-        W = _signsets_of(cls)
-        rhos = _rho_candidates(A, W.rows, caps)
-        diag["rhos"] = len(rhos)
-        for tau in taus:
-            for rho in rhos:
-                diag["pairs_checked"] += 1
-                if not concordant_pair(rho, tau, W):
-                    continue
-                z = realize_sign_in_subspace(S, tau)
-                if z is None:
-                    raise ArithmeticError(f"{tau} not realizable in S")
-                if rho.is_zero():
-                    y = tuple([_ZERO] * W.rows)
-                else:
-                    y = strict_sign_feasible(A, rho)
-                    if y is None:
-                        raise ArithmeticError(f"{rho} not realizable in the left kernel")
-                M = signset_member_rows(W, z, y)
-                kind = "pattern" if isinstance(cls, SignPattern) else "signsets"
-                member = Member(M, kind)
-                return SignRouteResult(True, injective=False,
-                                       hit=SignRouteHit(member, tuple(z), tau, rho),
-                                       diagnostics=diag)
-        return SignRouteResult(True, injective=True, diagnostics=diag)
 
     if isinstance(cls, Interval):
         for tau in taus:
@@ -637,74 +566,88 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
                                        diagnostics=diag)
         return SignRouteResult(True, injective=True, diagnostics=diag)
 
-    # a left-free product whose outer factor is a sign-set class
-    W_out = _signsets_of(cls.left)
-    inner = cls.right
-    if inner.rows > caps.sign_enum_dim:
-        raise CapExceeded("sign_enum_dim", inner.rows, caps.sign_enum_dim)
-    if isinstance(inner, Scaled):
-        return _route_signsets_scaled(W_out, inner.B, S, taus, diag, caps)
-    return _route_signsets_signsets(W_out, _signsets_of(inner), S, taus, diag)
-
-
-def _route_signsets_scaled(W_out: SignSetMatrix, B: RationalMatrix, S: Subspace,
-                           taus, diag, caps: Caps) -> SignRouteResult:
-    mid = B.rows
+    outer, inner = (cls.left, cls.right) if isinstance(cls, Product) else (None, cls)
+    W_out = _signsets_of(outer) if outer is not None else None
+    W_in = None if isinstance(inner, Scaled) else _signsets_of(inner)
+    rhos = _left_zero_signs(W_out, A, inner.rows, caps)
+    if W_out is None:
+        diag["rhos"] = len(rhos)
     for tau in taus:
-        row_options = [_achievable_row_signs(B.row(i), tau) for i in range(mid)]
-        for mid_signs in itertools.product((-1, 0, 1), repeat=mid):
-            rho_mid = SignVector(mid_signs)
-            if any(mid_signs[i] not in row_options[i] for i in range(mid)):
-                continue
-            if not all(
-                signset_row_orthogonal(W_out.row(i), rho_mid) for i in range(W_out.rows)
-            ):
-                continue
-            diag["pairs_checked"] += 1
-            v = pair_sign_feasible(B, tau, rho_mid)
-            if v is None:
-                continue
-            z = realize_sign_in_subspace(S, tau)
-            if z is None:
-                raise ArithmeticError(f"{tau} not realizable in S")
-            lam = tuple(v[j] / z[j] if z[j] != 0 else _ONE for j in range(len(z)))
-            Bhat = RationalMatrix(
-                B.rows, B.cols,
-                [[B.at(i, j) * lam[j] for j in range(B.cols)] for i in range(B.rows)],
-            )
-            w_mid = B.apply(v)
-            H = signset_member_rows(W_out, w_mid, [_ZERO] * W_out.rows)
-            inner_member = Member(Bhat, "scaled",
-                                  kappa=tuple([_ONE] * B.rows), lam=lam)
-            outer_member = Member(H, "signsets")
-            member = Member(H.matmul(Bhat), "product",
-                            factors=(outer_member, inner_member))
-            hit = SignRouteHit(member, tuple(z), tau, rho_mid)
+        if W_in is None:
+            options = [_achievable_row_signs(inner.B.row(i), tau) for i in range(inner.rows)]
+        for rho in rhos:
+            v = None
+            if W_in is None:
+                if any(rho[i] not in options[i] for i in range(inner.rows)):
+                    continue
+                diag["pairs_checked"] += 1
+                v = pair_sign_feasible(inner.B, tau, rho)
+                if v is None:
+                    continue
+            else:
+                diag["pairs_checked"] += 1
+                if not concordant_pair(rho, tau, W_in):
+                    continue
+            hit = _hit(inner, W_in, W_out, S, A, tau, rho, v)
             return SignRouteResult(True, injective=False, hit=hit, diagnostics=diag)
     return SignRouteResult(True, injective=True, diagnostics=diag)
 
 
-def _route_signsets_signsets(W_out: SignSetMatrix, W_in: SignSetMatrix, S: Subspace,
-                             taus, diag) -> SignRouteResult:
-    mid = W_in.rows
-    for tau in taus:
-        for mid_signs in itertools.product((-1, 0, 1), repeat=mid):
-            rho_mid = SignVector(mid_signs)
-            if not concordant_pair(rho_mid, tau, W_in):
-                continue
-            if not all(
-                signset_row_orthogonal(W_out.row(i), rho_mid) for i in range(W_out.rows)
-            ):
-                continue
-            diag["pairs_checked"] += 1
-            z = realize_sign_in_subspace(S, tau)
-            if z is None:
-                raise ArithmeticError(f"{tau} not realizable in S")
-            w_mid = tuple(Fraction(s) for s in mid_signs)
-            M_in = signset_member_rows(W_in, z, w_mid)
-            H = signset_member_rows(W_out, w_mid, [_ZERO] * W_out.rows)
-            member = Member(H.matmul(M_in), "product",
-                            factors=(Member(H, "signsets"), Member(M_in, "signsets")))
-            hit = SignRouteHit(member, tuple(z), tau, rho_mid)
-            return SignRouteResult(True, injective=False, hit=hit, diagnostics=diag)
-    return SignRouteResult(True, injective=True, diagnostics=diag)
+def _left_zero_signs(W_out: Optional[SignSetMatrix], A: Optional[RationalMatrix],
+                     rows: int, caps: Caps) -> list[SignVector]:
+    """The sorted signs rho of an inner image that the left side can send to
+    0: with an outer sign-set factor, those every row of it can be orthogonal
+    to; otherwise {0} union sigma(ker A), just 0 without a left matrix."""
+    if W_out is not None:
+        if rows > caps.sign_enum_dim:
+            raise CapExceeded("sign_enum_dim", rows, caps.sign_enum_dim)
+        return [SignVector(c) for c in itertools.product((-1, 0, 1), repeat=rows)
+                if all(signset_row_orthogonal(W_out.row(i), c) for i in range(W_out.rows))]
+    kernel = kernel_sign_vectors(A, caps) if A is not None else ()
+    return [SignVector(c) for c in sorted({(0,) * rows} | {k.entries for k in kernel})]
+
+
+def _hit(inner: MatrixClass, W_in: Optional[SignSetMatrix], W_out: Optional[SignSetMatrix],
+         S: Subspace, A: Optional[RationalMatrix], tau: SignVector, rho: SignVector,
+         v: Optional[tuple[Fraction, ...]]) -> SignRouteHit:
+    """The singular member of a feasible pair: z in S with signs tau, a target
+    image y with signs rho that the left side sends to 0, the inner member
+    mapping z to y and, under an outer sign-set factor W_out, the outer member
+    killing y. W_in is the inner sign sets (None for Scaled, whose v has signs
+    tau and Bv signs rho)."""
+    z = realize_sign_in_subspace(S, tau)
+    if z is None:
+        raise ArithmeticError(f"{tau} not realizable in S")
+    if W_in is None:
+        w = inner.B.apply(v)
+    if W_out is not None:
+        # the inner member's own image: Bv, or rho itself for sign sets
+        y = w if W_in is None else tuple(Fraction(s) for s in rho)
+    elif rho.is_zero():
+        y = (_ZERO,) * inner.rows
+    else:
+        y = strict_sign_feasible(A, rho)
+        if y is None:
+            raise ArithmeticError(f"{rho} not realizable in the left kernel")
+    lift_data = None
+    if W_in is None:
+        B = inner.B
+        lam = tuple(v[j] / z[j] if z[j] != 0 else _ONE for j in range(len(z)))
+        kappa = tuple(y[i] / w[i] if w[i] != 0 else _ONE for i in range(B.rows))
+        if any(s <= 0 for s in lam + kappa):
+            raise ArithmeticError("a scaling went nonpositive; sign bookkeeping broken")
+        matrix = RationalMatrix(
+            B.rows, B.cols,
+            [[kappa[i] * B.at(i, j) * lam[j] for j in range(B.cols)] for i in range(B.rows)],
+        )
+        member = Member(matrix, "scaled", kappa=kappa, lam=lam)
+        if W_out is None:
+            lift_data = (B, tuple(lam[j] * z[j] for j in range(len(z))), tuple(z))
+    else:
+        kind = "pattern" if isinstance(inner, SignPattern) and W_out is None else "signsets"
+        member = Member(signset_member_rows(W_in, z, y), kind)
+    if W_out is not None:
+        H = signset_member_rows(W_out, y, [_ZERO] * W_out.rows)
+        member = Member(H.matmul(member.matrix), "product",
+                        factors=(Member(H, "signsets"), member))
+    return SignRouteHit(member, tuple(z), tau, rho, lift_data)

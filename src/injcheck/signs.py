@@ -29,6 +29,9 @@ def sign_of(value) -> Sign:
     return 0
 
 
+_SIGNS = frozenset((-1, 0, 1))
+
+
 def _check_sign(s) -> Sign:
     if s not in (-1, 0, 1):
         raise ValueError(f"not a sign: {s!r}")
@@ -40,7 +43,15 @@ class SignVector:
     entries: tuple[Sign, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(_check_sign(s) for s in self.entries))
+        entries = tuple(self.entries)
+        try:
+            valid = _SIGNS.issuperset(entries)
+        except TypeError:  # an unhashable entry
+            valid = False
+        if not valid:
+            for s in entries:
+                _check_sign(s)  # raises on the first bad entry
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_text(cls, text: str) -> "SignVector":

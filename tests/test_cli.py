@@ -182,6 +182,13 @@ class TestFalsify:
         assert code == 2
         assert "no singular member found in 500 trials" in out
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-3"), ("--trials", "-5")])
+    def test_negative_setting_is_a_usage_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "falsify", "--B", "1 1;2 2", flag, value)
+        assert code == 64
+        assert out == ""
+        assert f"usage error: {flag} must be >= 0, got {value}" in err
+
 
 class TestReports:
     def test_identical_bytes_across_runs(self, capsys, tmp_path):

@@ -49,6 +49,18 @@ class TestSampling:
         assert a.matrix == b.matrix
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_negative_settings_name_their_field(self, field):
+        with pytest.raises(ValueError, match=f"OracleConfig.{field} must be >= 0"):
+            OracleConfig(**{field: -1})
+
+    def test_zero_trials_search_nothing(self):
+        problem = Problem(Interval(parse_interval_box_text("(0,inf) (0,inf)\n(0,inf) (0,inf)")),
+                          Subspace.full(2))
+        assert falsify(problem, OracleConfig(trials=0)) is None
+
+
 class TestFalsify:
     def test_square_interval_hit(self):
         D = parse_interval_box_text("(0,inf) (0,inf)\n(0,inf) (0,inf)")

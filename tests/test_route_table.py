@@ -115,6 +115,14 @@ CASES = {
     "product_behind_left_wide": lambda: Problem(signsets_scaled(), plane(), left=M("1 1")),
     "crn_autocatalytic": lambda: build_problem(
         parse_network("grow: A + B -> 2 A\nflip: A -> B"), KineticsMode.parse("mass-action")),
+    "signsets_scaled_witness": lambda: Problem(Product(W("+ +"), Scaled(M("1 0; 0 1"))),
+                                               Subspace.full(2)),
+    "signsets_signsets_witness": lambda: Problem(Product(W("+ +"), W("+ 0; 0 +")),
+                                                 Subspace.full(2)),
+    "signsets_signsets_injective": lambda: Problem(Product(W("+ -; + +"), W("+ 0; 0 +")),
+                                                   line(1, 1)),
+    "signsets_left": lambda: Problem(W("+ 0; 0 +"), Subspace.full(2), left=M("1 1")),
+    "scaled_wide_free": lambda: Problem(Scaled(M("1 -1 0; 0 1 -1")), Subspace.full(3)),
 }
 CAPS = {
     "mixed_sign_cap": {"sign_enum_dim": 2},

@@ -29,7 +29,7 @@ from injcheck.signroute import (
     signset_member_rows,
     subspace_sign_vectors,
 )
-from injcheck.signs import ALL_SIGN_SETS, SignVector, all_sign_vectors, sigma
+from injcheck.signs import ALL_SIGN_SETS, SignVector, all_sign_vectors, sigma, sign_orthogonal
 
 F = Fraction
 
@@ -367,6 +367,81 @@ class TestIntervalRoute:
                 member = interval_member_through(D, z, tuple(targets))
                 assert D.contains(member)
                 assert member.apply(z) == tuple(targets)
+
+
+def _brute_left_zero_signs(rows, A=None, W_out=None):
+    """The signs rho of an inner image the left side can send to 0, counted
+    without the route: sigma(ker A) by one LP per candidate, orthogonality to
+    an outer sign-set factor by trying every sign row it contains."""
+    if W_out is not None:
+        return [rho for rho in itertools.product((-1, 0, 1), repeat=rows)
+                if all(any(sign_orthogonal(choice, rho)
+                           for choice in itertools.product(*W_out.row(i)))
+                       for i in range(W_out.rows))]
+    kernel = enumerate_subspace_signs(Subspace.from_kernel_rep(A)) if A is not None else ()
+    return [(0,) * rows] + [k.entries for k in kernel]
+
+
+def _random_subspace(rng, n):
+    d = rng.randint(1, n)
+    if d == n:
+        return Subspace.full(n)
+    return Subspace.from_image(RationalMatrix(n, d, [[rng.randint(-2, 2) for _ in range(d)]
+                                                     for _ in range(n)]))
+
+
+class TestOneSweep:
+    def test_injective_sign_set_sweeps_check_every_pair(self):
+        # every (tau, rho) pair reaches concordant_pair: pairs_checked is
+        # |sigma(S)| times the number of signs the left side sends to 0
+        rng = random.Random(11)
+        injective = {"alone": 0, "left": 0, "product": 0}
+        for k in range(240):
+            n, mid = rng.randint(1, 3), rng.randint(1, 3)
+            shape = ("alone", "left", "product")[k % 3]
+            S = _random_subspace(rng, n)
+            A = W_out = None
+            if shape == "product":
+                W_out = SignSetMatrix_random(rng, rng.randint(1, 3), mid)
+                cls = Product(SignSets(W_out), SignSets(SignSetMatrix_random(rng, mid, n)))
+            else:
+                cls = SignSets(SignSetMatrix_random(rng, mid, n))
+                if shape == "left":
+                    A = RationalMatrix(1, mid, [[rng.randint(-2, 2) for _ in range(mid)]])
+            res = sign_route(cls, S, A)
+            if not res.injective:
+                continue
+            injective[shape] += 1
+            expected = len(enumerate_subspace_signs(S)) * len(_brute_left_zero_signs(mid, A, W_out))
+            assert res.diagnostics["pairs_checked"] == expected, (k, cls.describe())
+        assert min(injective.values()) >= 5, injective
+
+    @pytest.mark.parametrize("cls, S, left", [
+        (Scaled(M([1, 1], [2, 1])), Subspace.full(2), None),
+        (Scaled(M([1, 1], [1, 1])), Subspace.full(2), None),
+        (Scaled(M([1, 1], [1, 0])), Subspace.from_image(M([1], [-1])), M([1, -1], [-1, 1])),
+        (Scaled(M([1, -1, 0], [0, 1, -1])), Subspace.full(3), None),
+        (Product(SignSets(parse_signsets_text("+ +")), Scaled(M([1, 0], [0, 1]))),
+         Subspace.full(2), None),
+        (Product(SignSets(parse_signsets_text("+ -\n+ +")), Scaled(M([1, -1], [1, -2]))),
+         Subspace.full(2), None),
+        (Product(SignPattern(((1, 1, -1),)), Scaled(M([1, 2, 0], [0, 1, 1], [1, 0, 1]))),
+         Subspace.from_kernel_rep(M([1, -1, 1])), None),
+    ])
+    def test_one_lp_per_checked_scaled_pair(self, monkeypatch, cls, S, left):
+        # the sweep must look pair_sign_feasible up at call time, where
+        # instrumentation that rebinds the module attribute sees every call
+        calls = []
+        original = signroute.pair_sign_feasible
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(signroute, "pair_sign_feasible", counted)
+        res = sign_route(cls, S, left)
+        assert res.supported
+        assert len(calls) == res.diagnostics["pairs_checked"] > 0
 
 
 class TestUnsupportedShapes:

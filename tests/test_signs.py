@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,12 @@ class TestSigma:
         v = SignVector.from_text("+0-")
         assert str(v) == "+0-"
         assert (-v).entries == (-1, 0, 1)
+
+    @pytest.mark.parametrize("entries, bad", [((0, 2), "2"), ((1, -1, 0.5), "0.5"),
+                                              ((0, [1]), "[1]")])
+    def test_rejects_a_non_sign_and_names_it(self, entries, bad):
+        with pytest.raises(ValueError, match=f"not a sign: {re.escape(bad)}$"):
+            SignVector(entries)
 
     @given(st.lists(st.fractions(), min_size=1, max_size=6),
            st.fractions(min_value="1/100", max_value=100))
