@@ -100,9 +100,12 @@ def _parse_subspace(spec: str, default_n: Optional[int]) -> tuple[Subspace, str]
             raise _UsageError("--S full needs a class to infer the dimension from")
         return Subspace.full(default_n), f"full:{default_n}"
     if spec.startswith("full:"):
-        n = int(spec[len("full:"):])
+        try:
+            n = int(spec[len("full:"):])
+        except ValueError:
+            n = 0
         if n <= 0:
-            raise _UsageError("full:<n> needs n >= 1")
+            raise _UsageError(f"--S {spec!r}: full:<n> needs an integer n >= 1")
         return Subspace.full(n), spec
     for prefix in ("im:", "ker:"):
         if spec.startswith(prefix):

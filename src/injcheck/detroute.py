@@ -6,7 +6,8 @@ column of one factor). Two analyses share that polynomial:
 
 * monomial table - when every atom ranges over (0, inf), the sign of each
   monomial is the sign of its coefficient, so the table of (monomial,
-  coefficient) pairs decides POS / NEG / MIXED directly.
+  coefficient) pairs decides POS / NEG / MIXED directly. P is multilinear, so
+  a MIXED table always has an exact positive zero (see _table_zero).
 
 * box analysis - atoms bounded by general intervals. Multilinearity puts the
   extremes of P over the closed box at vertices. Infinite and punctured entry
@@ -181,6 +182,33 @@ def _build_table(P: Poly) -> MonomialTable:
     )
 
 
+def _table_zero(P: Poly, table: MonomialTable) -> dict[str, Fraction]:
+    """A positive zero of P whose table has terms of both signs.
+
+    For a term e, the atoms of e at t and the others at 1/t give every term m
+    the degree |m & e| - |m - e| in t, which is below |e| unless m = e (P is
+    multilinear). For t = 2, 4, 8, ... P therefore takes the sign of e at
+    last; the walk between the points of the first positive and the first
+    negative term stays in the positive orthant.
+    """
+    if not P.is_multilinear():
+        raise ArithmeticError("determinant is not multilinear in its atoms")
+    names = sorted(P.atoms())
+
+    def point_with_sign_of(term: Monomial, sign: int) -> dict[str, Fraction]:
+        support = {a for a, _ in term}
+        t = Fraction(2)
+        while True:
+            point = {a: t if a in support else 1 / t for a in names}
+            if P.evaluate(point) * sign > 0:
+                return point
+            t *= 2
+
+    pos = next(m for m, c in table.terms if c > 0)
+    neg = next(m for m, c in table.terms if c < 0)
+    return _walk_to_zero(P, names, point_with_sign_of(pos, 1), point_with_sign_of(neg, -1))
+
+
 # ---------------------------------------------------------------------------
 # box machinery
 
@@ -313,34 +341,35 @@ def _pull_admissible(P: Poly, atoms: Sequence[_BoxAtom],
         scale = scale / 2
 
 
-def _walk_to_zero(P: Poly, atoms: Sequence[_BoxAtom],
+def _walk_to_zero(P: Poly, names: Sequence[str],
                   a_pt: dict[str, Fraction], b_pt: dict[str, Fraction]) -> dict[str, Fraction]:
-    """Exact zero of P between two admissible points of opposite strict sign,
-    moving one coordinate at a time; each leg is affine, so the crossing leg
-    is solved by one division."""
+    """Exact zero of P between two points of opposite strict sign, moving
+    one coordinate at a time; each leg is affine, so the crossing leg is
+    solved by one division. Every coordinate visited lies between its values
+    at the two points."""
     cur = dict(a_pt)
     val = P.evaluate(cur)
     if val == 0:
         return cur
-    for a in atoms:
-        target = b_pt[a.name]
-        if cur[a.name] == target:
+    for name in names:
+        target = b_pt[name]
+        if cur[name] == target:
             continue
         restricted = P
-        for other in atoms:
-            if other.name != a.name:
-                restricted = restricted.substitute(other.name, cur[other.name])
-        lin, const = restricted.split(a.name)
+        for other in names:
+            if other != name:
+                restricted = restricted.substitute(other, cur[other])
+        lin, const = restricted.split(name)
         alpha = lin.const_value()
         beta = const.const_value()
         val_target = alpha * target + beta
         if val_target == 0:
-            cur[a.name] = target
+            cur[name] = target
             return cur
         if (val_target > 0) != (val > 0):
-            cur[a.name] = -beta / alpha
+            cur[name] = -beta / alpha
             return cur
-        cur[a.name] = target
+        cur[name] = target
         val = val_target
     raise ArithmeticError("no sign change along the walk; inconsistent extremes")
 
@@ -439,7 +468,7 @@ def _analyze_sub_box(P: Poly, entries: dict[str, IntervalEntry],
     # strict sign change: an admissible zero always exists
     neg_pt = _pull_admissible(Q, atoms, argmin)
     pos_pt = _pull_admissible(Q, atoms, argmax)
-    zero = _walk_to_zero(Q, atoms, neg_pt, pos_pt)
+    zero = _walk_to_zero(Q, [a.name for a in atoms], neg_pt, pos_pt)
     return out(DetSign.MIXED, _restore(atoms, zero))
 
 
@@ -505,9 +534,9 @@ def _box_analysis(P: Poly, infos: Mapping[str, AtomInfo], caps: Caps) -> tuple[D
 def det_sign_analysis(cls: MatrixClass, caps: Optional[Caps] = None) -> DetAnalysis:
     """Sign of det over a square matrix class, with certificate data.
 
-    POS/NEG/NONZERO certify that every member is nonsingular. MIXED carries an
-    exact atom assignment with det = 0 whenever the analysis can construct one
-    (always, for box analyses); ZERO means det vanishes identically.
+    POS/NEG/NONZERO certify that every member is nonsingular. MIXED always
+    carries an exact atom assignment with det = 0 (for a monomial table, a
+    positive one); ZERO means det vanishes identically.
     """
     if caps is None:
         caps = DEFAULT_CAPS
@@ -517,20 +546,17 @@ def det_sign_analysis(cls: MatrixClass, caps: Optional[Caps] = None) -> DetAnaly
     P = symbolic_determinant(view.grid, caps.monomials)
 
     if P.is_zero():
-        defaults = {}
         return DetAnalysis(DetSign.ZERO, "monomial-table", P, view,
-                           table=_build_table(P), zero_assignment=defaults)
+                           table=_build_table(P), zero_assignment={})
 
     infos = view.atoms
     if all(infos[a].kind == "positive" for a in P.atoms()):
         table = _build_table(P)
-        coeff_signs = {1 if c > 0 else -1 for _, c in table.terms}
-        if coeff_signs == {1}:
-            sign = DetSign.POS
-        elif coeff_signs == {-1}:
-            sign = DetSign.NEG
-        else:
-            sign = DetSign.MIXED
+        positive = {c > 0 for _, c in table.terms}
+        if len(positive) == 2:
+            return DetAnalysis(DetSign.MIXED, "monomial-table", P, view, table=table,
+                               zero_assignment=_table_zero(P, table))
+        sign = DetSign.POS if True in positive else DetSign.NEG
         return DetAnalysis(sign, "monomial-table", P, view, table=table)
 
     sign, summary, zero = _box_analysis(P, infos, caps)

@@ -5,7 +5,8 @@ class member M and z in S \\ {0} with (A) M z = 0? S = {0} is injective
 (route TRIVIAL). Otherwise the answer comes from these steps:
 
 * det - square case only (class rows equal dim S after the left matrix is
-  folded in): the sign of det over the augmented class [Z; M];
+  folded in): the sign of det over the augmented class [Z; M]. It decides
+  every class it can expand: a sign change always comes with an exact zero;
 * sign - one sweep over the pairs (tau, rho): tau in sigma(S \\ {0}), rho
   a sign of the inner factor's image that the left side sends to 0 (0 alone,
   {0} union sigma(ker A \\ {0}) behind a left matrix A, or what every row of
@@ -13,16 +14,13 @@ class member M and z in S \\ {0} with (A) M z = 0? S = {0} is injective
   pair, exactly by LP for Scaled, by signs for sign sets; an interval class
   is swept over tau alone, one LP each;
 * pattern union - a sign-set class is the union of its sign patterns, so the
-  verdict is the conjunction of the per-pattern verdicts;
-* falsifier fallback - a MIXED determinant table no exact step resolved gets
-  2000 trials of the randomized falsifier, then INCONCLUSIVE.
+  verdict is the conjunction of the per-pattern verdicts.
 
 `_ROUTES` lists, for each `route` value, the steps in the order they run; the
 first step that returns a verdict decides:
 
-    auto           det, sign, pattern union, falsifier fallback, INCONCLUSIVE
-    det            det, INCONCLUSIVE (not square, or no analysis), sign,
-                   pattern union, falsifier fallback
+    auto           det, sign, pattern union, INCONCLUSIVE (route NONE)
+    det            det, INCONCLUSIVE
     sign           sign, INCONCLUSIVE
     pattern-union  pattern union, INCONCLUSIVE
 
@@ -46,7 +44,6 @@ from .classes import (
     Member,
     Product,
     Scaled,
-    SignPattern,
     SignSets,
     UnsupportedClassError,
     augment_with_kernel_rep,
@@ -355,8 +352,7 @@ def witness_from_aug_member(A: Optional[RationalMatrix], cls: MatrixClass,
 
 def _witness_from_assignment(A: Optional[RationalMatrix], cls: MatrixClass,
                              analysis: DetAnalysis) -> SingularWitness:
-    assignment = analysis.zero_assignment or {}
-    aug_member = analysis.view.build_member(assignment)
+    aug_member = analysis.view.build_member(analysis.zero_assignment)
     return witness_from_aug_member(A, cls, aug_member)
 
 
@@ -365,7 +361,8 @@ def build_witness(problem: Problem, evidence: Union[SignRouteHit, DetAnalysis],
     """Assemble and exactness-check a singular witness from route evidence.
 
     Accepts a sign-route hit or a determinant analysis whose sign is ZERO or
-    MIXED with a zero assignment. Raises if the evidence does not check out.
+    MIXED; both carry a zero assignment. Raises if the evidence does not
+    check out.
     """
     A, cls = effective_parts(problem)
     if isinstance(evidence, SignRouteHit):
@@ -459,8 +456,7 @@ def verify_certificate(verdict: Verdict, problem: Problem,
 
 @dataclass
 class _Run:
-    """What the steps of one decision share. `analysis` is the MIXED
-    determinant analysis the determinant step leaves for the later steps."""
+    """What the steps of one decision share."""
 
     problem: Problem
     caps: Caps
@@ -468,7 +464,6 @@ class _Run:
     cls: MatrixClass
     rows: int
     diagnostics: dict
-    analysis: Optional[DetAnalysis] = None
 
     @property
     def square(self) -> bool:
@@ -496,43 +491,22 @@ def _det_step(run: _Run) -> Optional[Verdict]:
     if analysis.sign in (DetSign.POS, DetSign.NEG, DetSign.NONZERO):
         cert = PositivityCertificate("determinant", analysis.certificate_payload())
         return Verdict(Status.INJECTIVE, Route.DET, cert, diagnostics)
-    if analysis.sign is DetSign.ZERO or analysis.zero_assignment is not None:
-        witness = _witness_from_assignment(run.A, run.cls, analysis)
-        _require_witness(run.problem, witness, "determinant witness")
-        return Verdict(Status.NOT_INJECTIVE, Route.DET, witness, diagnostics)
-    # MIXED monomial table: the table alone does not locate a zero
-    if analysis.table is not None:
-        diagnostics["det_table_homogeneous"] = analysis.table.homogeneous
-        diagnostics["det_table_distinct_supports"] = analysis.table.distinct_supports
-    run.analysis = analysis
-    return None
+    # ZERO or MIXED: the analysis carries an exact zero
+    witness = _witness_from_assignment(run.A, run.cls, analysis)
+    _require_witness(run.problem, witness, "determinant witness")
+    return Verdict(Status.NOT_INJECTIVE, Route.DET, witness, diagnostics)
 
 
-def _det_inconclusive(run: _Run) -> Optional[Verdict]:
-    """Forced det: INCONCLUSIVE unless the determinant step left a MIXED
-    analysis for the later steps."""
-    if not run.square:
-        return _inconclusive(run, Route.DET,
-                             f"determinant route needs a square augmented class "
-                             f"(rows {run.rows} vs dim S {run.problem.S.dim})")
-    if run.analysis is None:
-        return _inconclusive(run, Route.DET, run.diagnostics["det_route_fallback"])
-    return None
-
-
-def _table_forces_a_zero(run: _Run) -> bool:
-    """A MIXED homogeneous table with distinct supports over one sign pattern
-    has a singular member, so the sign sweep must find one."""
-    table = run.analysis.table if run.analysis is not None else None
-    cls = run.cls
-    return (table is not None and table.homogeneous and table.distinct_supports
-            and (isinstance(cls, (Scaled, SignPattern))
-                 or (isinstance(cls, SignSets) and cls.W.is_pattern)))
+def _det_inconclusive(run: _Run) -> Verdict:
+    """Forced det: why the determinant step gave no verdict."""
+    reason = run.diagnostics.get("det_route_fallback",
+                                 f"determinant route needs a square augmented class "
+                                 f"(rows {run.rows} vs dim S {run.problem.S.dim})")
+    return _inconclusive(run, Route.DET, reason)
 
 
 def _sign_step(run: _Run) -> Optional[Verdict]:
-    """The sign sweep, exact and complete for the class shapes sign_route
-    serves. A witness found after a MIXED determinant resolves that table."""
+    """The sign sweep, exact and complete for the shapes sign_route serves."""
     diagnostics = run.diagnostics
     S = run.problem.S
     try:
@@ -544,19 +518,11 @@ def _sign_step(run: _Run) -> Optional[Verdict]:
         return None
     diagnostics.update({f"sign_{k}": v for k, v in srr.diagnostics.items()})
     if srr.injective:
-        if _table_forces_a_zero(run):
-            raise ArithmeticError(
-                "inconsistent routes: mixed homogeneous determinant table "
-                "but the sign sweep found no singular pair"
-            )
         cert = _sweep_certificate(S, srr.diagnostics, run.caps)
         return Verdict(Status.INJECTIVE, Route.SIGN, cert, diagnostics)
     witness = _witness_from_hit(run.A, srr.hit)
     _require_witness(run.problem, witness, "sign-route witness")
-    if run.analysis is None:
-        return Verdict(Status.NOT_INJECTIVE, Route.SIGN, witness, diagnostics)
-    diagnostics["mixed_resolution"] = "sign-route witness"
-    return Verdict(Status.NOT_INJECTIVE, Route.DET, witness, diagnostics)
+    return Verdict(Status.NOT_INJECTIVE, Route.SIGN, witness, diagnostics)
 
 
 def _sign_inconclusive(run: _Run) -> Verdict:
@@ -617,26 +583,6 @@ def _pattern_union_inconclusive(run: _Run) -> Verdict:
     return _inconclusive(run, Route.PATTERN_UNION, reason)
 
 
-def _mixed_det_fallback(run: _Run) -> Optional[Verdict]:
-    """A MIXED determinant no exact step resolved (a class product the sign
-    route does not serve, or a cap): 2000 falsifier trials, then INCONCLUSIVE
-    with the table as its certificate."""
-    if run.analysis is None:
-        return None
-    from .oracle import OracleConfig, falsify
-
-    diagnostics = run.diagnostics
-    cfg = OracleConfig(trials=2000, seed=0)
-    hit = falsify(run.problem, cfg)
-    diagnostics["falsifier_trials"] = cfg.trials
-    if hit is not None:
-        diagnostics["mixed_resolution"] = "random falsifier"
-        return Verdict(Status.NOT_INJECTIVE, Route.DET, hit, diagnostics)
-    cert = PositivityCertificate("determinant", run.analysis.certificate_payload())
-    diagnostics["reason"] = "mixed determinant table and no exact route for this class shape"
-    return Verdict(Status.INCONCLUSIVE, Route.DET, cert, diagnostics)
-
-
 def _no_route(run: _Run) -> Verdict:
     return _inconclusive(run, Route.NONE, f"no route applies to {run.cls.describe()}")
 
@@ -644,9 +590,8 @@ def _no_route(run: _Run) -> Verdict:
 # For each `route` value, the steps in the order they run; the first verdict
 # wins, and the last step of every route always returns one.
 _ROUTES = {
-    "auto": (_det_step, _sign_step, _pattern_union_step, _mixed_det_fallback, _no_route),
-    "det": (_det_step, _det_inconclusive, _sign_step, _pattern_union_step,
-            _mixed_det_fallback),
+    "auto": (_det_step, _sign_step, _pattern_union_step, _no_route),
+    "det": (_det_step, _det_inconclusive),
     "sign": (_sign_step, _sign_inconclusive),
     "pattern-union": (_pattern_union_step, _pattern_union_inconclusive),
 }
@@ -660,12 +605,13 @@ def check_injectivity(problem: Problem, caps: Optional[Caps] = None,
     steps of `route` (None means 'auto') run in this order until one returns
     a verdict:
 
-        auto           det, sign, pattern union, falsifier fallback,
-                       INCONCLUSIVE (route NONE)
-        det            det, INCONCLUSIVE (not square, or no analysis), sign,
-                       pattern union, falsifier fallback
+        auto           det, sign, pattern union, INCONCLUSIVE (route NONE)
+        det            det, INCONCLUSIVE
         sign           sign, INCONCLUSIVE
         pattern-union  pattern union, INCONCLUSIVE
+
+    The det step decides every square class it can expand (det is multilinear,
+    so a MIXED table has an exact zero); no verdict depends on a random trial.
     """
     name = (route or "auto").lower().replace("_", "-")
     if name not in _ROUTES:

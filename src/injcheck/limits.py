@@ -19,6 +19,11 @@ class Caps:
     monomials: int = 1_000_000   # max terms while expanding a symbolic determinant
     branches: int = 64           # max disequality branches in interval feasibility
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"cap {name} must be >= 0, got {value}")
+
     def with_overrides(self, **kwargs) -> "Caps":
         return replace(self, **kwargs)
 

@@ -196,9 +196,10 @@ def test_criterion_06_two_factor_product_on_a_plane():
         p2 = Problem(SignSets(parse_signsets_text("+ + -\n+ + +")), S)
         v2 = record(p2, check_injectivity(p2))
         assert v2.status is Status.NOT_INJECTIVE
+        assert v2.method is Route.DET
         w = v2.certificate
-        assert w.member.matrix == M([1, 3, -1], [3, 1, 1])
-        assert w.z == (F(-1), F(1), F(2))
+        assert w.member.matrix == M([F(1, 2), 2, F(-1, 2)], [2, F(7, 4), F(1, 2)])
+        assert w.z == (F(-3, 5), F(2, 5), F(1))
         assert verify_certificate(v2, p2)
 
 

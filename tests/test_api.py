@@ -4,7 +4,10 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import injcheck
+from injcheck.limits import Caps, parse_caps_spec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +46,24 @@ def test_traced_functions_exist():
         for part in fn.split("."):
             target = getattr(target, part)
         assert callable(target), f"{layer}.{fn}"
+
+
+def test_injectivity_imports_nothing_from_oracle():
+    # decisions are exact; the randomized falsifier stays an outside check
+    path = ROOT / "src" / "injcheck" / "injectivity.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            assert "oracle" not in (node.module or "")
+            assert "oracle" not in {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            assert all("oracle" not in a.name for a in node.names)
+
+
+@pytest.mark.parametrize("name", ["sign_enum_dim", "patterns", "vertices", "monomials",
+                                  "branches"])
+def test_negative_caps_are_rejected(name):
+    with pytest.raises(ValueError, match=f"cap {name} must be >= 0, got -1"):
+        Caps(**{name: -1})
+    with pytest.raises(ValueError, match=f"cap {name} must be >= 0"):
+        parse_caps_spec(f"{name}=-1")
+    assert getattr(Caps(**{name: 0}), name) == 0

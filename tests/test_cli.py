@@ -57,6 +57,20 @@ class TestExitCodes:
         assert code == 66
         assert "missing file" in err
 
+    @pytest.mark.parametrize("cap", ["vertices", "sign_enum_dim"])
+    def test_negative_cap_is_an_input_error(self, capsys, cap):
+        code, out, err = run(capsys, "monomial", "--B", "1 1;2 1", "--caps", f"{cap}=-1")
+        assert code == 65
+        assert out == ""
+        assert f"input error: cap {cap} must be >= 0, got -1" in err
+
+    @pytest.mark.parametrize("spec", ["full:abc", "full:0"])
+    def test_bad_full_subspace_is_a_usage_error(self, capsys, spec):
+        code, out, err = run(capsys, "signs", "--S", spec)
+        assert code == 64
+        assert out == ""
+        assert f"usage error: --S {spec!r}: full:<n> needs an integer n >= 1" in err
+
     def test_cap_exceeded_is_inconclusive(self, capsys):
         code, _, err = run(capsys, "signs", "--S", "full:4",
                            "--caps", "sign_enum_dim=3")

@@ -15,7 +15,13 @@ from injcheck.classes import (
     parse_signsets_text,
     symbolic_view,
 )
-from injcheck.detroute import DetSign, det_sign_analysis, symbolic_determinant
+from injcheck.detroute import (
+    DetSign,
+    _build_table,
+    _table_zero,
+    det_sign_analysis,
+    symbolic_determinant,
+)
 from injcheck.limits import Caps, CapExceeded
 from injcheck.linalg import RationalMatrix, Subspace, determinant
 from injcheck.classes import Poly
@@ -46,11 +52,21 @@ class TestMonomialTables:
         assert table_dict(analysis) == {"m1*m3": F(1)}
 
     def test_full_pattern_mixed_without_witness(self):
+        # the table alone is MIXED; the zero comes from the walk between
+        # points where m1*m4 and m2*m3 dominate
         analysis = det_sign_analysis(SignPattern(((1, 1), (1, 1))))
         assert analysis.sign is DetSign.MIXED
-        assert analysis.zero_assignment is None
+        zero = analysis.zero_assignment
+        assert zero == {"m1": F(1, 2), "m2": F(2), "m3": F(1, 2), "m4": F(2)}
+        assert all(v > 0 for v in zero.values())
+        assert analysis.poly.evaluate(zero) == 0
         assert table_dict(analysis) == {"m1*m4": F(1), "m2*m3": F(-1)}
         assert analysis.table.homogeneous and analysis.table.distinct_supports
+
+    def test_table_zero_needs_a_multilinear_determinant(self):
+        P = Poly.atom("m1") * Poly.atom("m1") - Poly.atom("m2")
+        with pytest.raises(ArithmeticError, match="not multilinear"):
+            _table_zero(P, _build_table(P))
 
     def test_identically_zero_pattern(self):
         analysis = det_sign_analysis(SignPattern(((1, 1), (0, 0))))

@@ -14,7 +14,7 @@ from injcheck.classes import (
     parse_interval_box_text,
     parse_signsets_text,
 )
-from injcheck.detroute import det_sign_analysis
+from injcheck.detroute import DetSign, det_sign_analysis
 from injcheck.injectivity import (
     Problem,
     Route,
@@ -124,10 +124,10 @@ class TestSquareDispatch:
         verdict = check_injectivity(p)
         assert verdict.status is Status.NOT_INJECTIVE
         assert verdict.method is Route.DET
-        assert verdict.diagnostics["mixed_resolution"] == "sign-route witness"
+        assert verdict.diagnostics["det_sign"] == "MIXED"
         w = verdict.certificate
-        assert w.member.matrix == M([1, 3, -1], [3, 1, 1])
-        assert w.z == (F(-1), F(1), F(2))
+        assert w.member.matrix == M([F(1, 2), 2, F(-1, 2)], [2, F(7, 4), F(1, 2)])
+        assert w.z == (F(-3, 5), F(2, 5), F(1))
         assert verify_certificate(verdict, p)
 
     def test_two_factor_product_table(self):
@@ -365,6 +365,52 @@ class TestRouteAgreement:
             sign_verdict = check_injectivity(p, route="sign")
             assert det_verdict.status is sign_verdict.status, cls.describe()
             assert det_verdict.status in (Status.INJECTIVE, Status.NOT_INJECTIVE)
+
+
+def _random_square_problem(rng):
+    """A Scaled, SignPattern or SignSets x Scaled class with as many rows as
+    dim S, on a random S."""
+    n = rng.randint(2, 4)
+    r = rng.randint(1, min(n, 3))
+    kind = rng.randrange(3)
+    if kind == 0:
+        cls = Scaled(M(*[[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]))
+    elif kind == 1:
+        cls = SignPattern(tuple(tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+                                for _ in range(r)))
+    else:
+        m = rng.randint(1, 3)
+        W = "\n".join(" ".join(rng.choice("+-0") for _ in range(m)) for _ in range(r))
+        B = M(*[[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)])
+        cls = Product(SignSets(parse_signsets_text(W)), Scaled(B))
+    basis = M(*[[rng.randint(-2, 2) for _ in range(r)] for _ in range(n)])
+    return Problem(cls, Subspace.from_image(basis))
+
+
+class TestTableZeros:
+    def test_every_mixed_table_has_a_positive_zero(self):
+        rng = random.Random(20261018)
+        mixed = 0
+        for _ in range(300):
+            p = _random_square_problem(rng)
+            if p.S.dim != p.matrices.rows:
+                continue
+            analysis = det_sign_analysis(augment_with_kernel_rep(p.S, p.matrices))
+            if analysis.sign is not DetSign.MIXED or analysis.kind != "monomial-table":
+                continue
+            mixed += 1
+            zero = analysis.zero_assignment
+            assert zero is not None and all(v > 0 for v in zero.values())
+            assert analysis.poly.evaluate(zero) == 0
+            verdict = check_injectivity(p)
+            assert (verdict.status, verdict.method) == (Status.NOT_INJECTIVE, Route.DET)
+            assert verify_certificate(verdict, p)
+            sign = check_injectivity(p, route="sign")
+            if sign.status is Status.INCONCLUSIVE:
+                assert sign.diagnostics["reason"].startswith("no sign route")
+            else:
+                assert sign.status is Status.NOT_INJECTIVE, p.matrices.describe()
+        assert mixed >= 60  # the sample must exercise the table walk
 
 
 class TestDeterminism:

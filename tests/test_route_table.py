@@ -4,16 +4,16 @@ Each case below is decided under every `route` value and the full
 `json.dumps(verdict.to_payload(), sort_keys=True)` is compared with the one
 recorded in `route_table_golden.json`. Together the cases reach every step of
 `check_injectivity` and every way out of it: the trivial subspace, the
-determinant sign, a zero assignment, a MIXED table resolved by the sign route,
-by the pattern union or by the falsifier (hit and miss), every cap that turns
-a step into a fallback, and the INCONCLUSIVE end of each forced route.
+determinant sign, a zero assignment of a box or of a MIXED monomial table
+(alone, behind a class product and under a sign cap), the sign route, the
+pattern union, every cap that turns a step into a fallback, and the
+INCONCLUSIVE end of each forced route.
 
 Re-record after a deliberate change of verdicts with
 
     PYTHONPATH=src python tests/test_route_table.py
 """
 
-import contextlib
 import json
 from pathlib import Path
 
@@ -97,8 +97,7 @@ CASES = {
                                                Subspace.full(1)),
     "interval_product_wide": lambda: Problem(Product(D("(0,1)"), D("(0,1) (0,1)")),
                                              Subspace.full(2)),
-    "mixed_falsifier_hit": lambda: Problem(scaled_signsets(), Subspace.full(2)),
-    "mixed_falsifier_miss": lambda: Problem(scaled_signsets(), Subspace.full(2)),
+    "mixed_class_product": lambda: Problem(scaled_signsets(), Subspace.full(2)),
     "mixed_sign_cap": lambda: Problem(W("+ + -; + + +"), plane()),
     "scaled_mixed_sign_cap": lambda: Problem(Scaled(M("1 2 -1; 1 1 1")), plane()),
     "multisign_signsets": lambda: Problem(W("0+ -; + +"), Subspace.full(2)),
@@ -131,28 +130,13 @@ CAPS = {
     "sign_cap": {"sign_enum_dim": 2},
     "pattern_union_cap": {"patterns": 1},
 }
-FALSIFIER_MISSES = {"mixed_falsifier_miss"}
-
-
-@contextlib.contextmanager
-def falsifier_misses(active: bool):
-    """Make the falsifier find nothing, for the MIXED table no input here
-    leaves unresolved."""
-    original = injcheck.oracle.falsify
-    if active:
-        injcheck.oracle.falsify = lambda problem, cfg=None: None
-    try:
-        yield
-    finally:
-        injcheck.oracle.falsify = original
 
 
 def decide(case: str, route: str):
     problem = CASES[case]()
     caps = DEFAULT_CAPS.with_overrides(**CAPS.get(case, {}))
-    with falsifier_misses(case in FALSIFIER_MISSES):
-        verdict = check_injectivity(problem, caps=caps, route=route)
-        verified = verify_certificate(verdict, problem, caps=caps)
+    verdict = check_injectivity(problem, caps=caps, route=route)
+    verified = verify_certificate(verdict, problem, caps=caps)
     return json.dumps(verdict.to_payload(), sort_keys=True), verified
 
 
@@ -175,6 +159,18 @@ def test_payload_is_pinned(golden, case, route):
     payload, verified = decide(case, route)
     assert payload == golden[f"{case}/{route}"]
     assert verified
+
+
+def test_no_decision_draws_a_random_member(monkeypatch):
+    # every route decides exactly: the randomized falsifier is never consulted
+    def refuse(*args, **kwargs):
+        raise AssertionError("a decision consulted the randomized falsifier")
+
+    monkeypatch.setattr(injcheck.oracle, "falsify", refuse)
+    monkeypatch.setattr(injcheck.oracle, "sample_member", refuse)
+    for case in CASES:
+        for route in ROUTES:
+            assert decide(case, route)[1], f"{case}/{route}"
 
 
 def test_no_sign_cap_for_a_product_behind_a_left_matrix():
