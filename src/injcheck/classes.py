@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .limits import CapExceeded, DEFAULT_CAPS
-from .linalg import RationalMatrix, Subspace, rat
+from .linalg import MatrixTextError, RationalMatrix, Subspace, rat, read_grid
 from .signs import SignSet, format_sign_set, parse_sign_set, sign_of
 
 _ZERO = Fraction(0)
@@ -987,26 +987,10 @@ def symbolic_view(cls: MatrixClass, namer: Optional[_AtomNamer] = None) -> Symbo
 
 
 def parse_signsets_text(text: str) -> SignSetMatrix:
-    from .linalg import MatrixTextError, _strip_comment
-
-    rows: list[tuple[SignSet, ...]] = []
-    width: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        try:
-            entries = tuple(parse_sign_set(tok) for tok in line.split())
-        except ValueError as exc:
-            raise MatrixTextError(lineno, str(exc)) from None
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise MatrixTextError(lineno, f"row has {len(entries)} entries, expected {width}")
-        rows.append(entries)
-    if width is None:
+    rows = read_grid(text, parse_sign_set)
+    if not rows:
         raise MatrixTextError(0, "empty sign-set matrix")
-    return SignSetMatrix(tuple(rows))
+    return SignSetMatrix(tuple(tuple(row) for row in rows))
 
 
 def format_signsets_text(W: SignSetMatrix) -> str:
@@ -1067,26 +1051,10 @@ def format_interval_entry(e: IntervalEntry) -> str:
 
 
 def parse_interval_box_text(text: str) -> IntervalBox:
-    from .linalg import MatrixTextError, _strip_comment
-
-    rows: list[tuple[IntervalEntry, ...]] = []
-    width: Optional[int] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        try:
-            entries = tuple(parse_interval_token(tok) for tok in line.split())
-        except ValueError as exc:
-            raise MatrixTextError(lineno, str(exc)) from None
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise MatrixTextError(lineno, f"row has {len(entries)} entries, expected {width}")
-        rows.append(entries)
-    if width is None:
+    rows = read_grid(text, parse_interval_token)
+    if not rows:
         raise MatrixTextError(0, "empty interval box")
-    return IntervalBox(tuple(rows))
+    return IntervalBox(tuple(tuple(row) for row in rows))
 
 
 def format_interval_box_text(D: IntervalBox) -> str:

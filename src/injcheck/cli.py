@@ -77,8 +77,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_source(value: str) -> tuple[str, str]:
-    """(text, how) where how notes inline vs file for the report echo."""
+def _read_source(value: str, flag: str) -> tuple[str, str]:
+    """(text, how) where how notes inline vs file for the report echo; an
+    empty value is a usage error naming its flag, not a missing file."""
+    if not value.strip():
+        raise _UsageError(f"{flag} is empty: give a file path or inline text")
     if "\n" in value or ";" in value:
         return value.replace(";", "\n"), "inline"
     if os.path.exists(value):
@@ -109,7 +112,7 @@ def _parse_subspace(spec: str, default_n: Optional[int]) -> tuple[Subspace, str]
         return Subspace.full(n), spec
     for prefix in ("im:", "ker:"):
         if spec.startswith(prefix):
-            text, _ = _read_source(spec[len(prefix):])
+            text, _ = _read_source(spec[len(prefix):], f"--S {prefix}")
             M = parse_matrix_text(text)
             if prefix == "im:":
                 return Subspace.from_image(M), prefix + "\n" + format_matrix_text(M)
@@ -184,7 +187,7 @@ def _class_from_args(args) -> tuple[object, dict]:
     if len(chosen) != 1:
         raise _UsageError("pick exactly one of --B, --W, --D")
     kind = chosen[0]
-    text, origin = _read_source(getattr(args, kind))
+    text, origin = _read_source(getattr(args, kind), f"--{kind}")
     echo[kind] = {"source": origin, "text": text}
     if kind == "B":
         return Scaled(parse_matrix_text(text)), echo
@@ -295,7 +298,7 @@ def _dispatch(args) -> int:
 def _left_from_args(args) -> tuple[Optional[RationalMatrix], Optional[dict]]:
     if getattr(args, "A", None) is None:
         return None, None
-    text, origin = _read_source(args.A)
+    text, origin = _read_source(args.A, "--A")
     return parse_matrix_text(text), {"source": origin, "text": text}
 
 
@@ -329,7 +332,7 @@ def _cmd_class(args) -> int:
 
 
 def _cmd_crn(args) -> int:
-    text, origin = _read_source(args.network)
+    text, origin = _read_source(args.network, "network")
     net = parse_network(text)
     mode = KineticsMode.parse(args.mode)
     problem = build_problem(net, mode)
@@ -373,7 +376,7 @@ def _cmd_falsify(args) -> int:
     if args.crn is not None:
         if any(getattr(args, k) is not None for k in ("B", "W", "D")):
             raise _UsageError("pick either --crn or one of --B/--W/--D")
-        text, origin = _read_source(args.crn)
+        text, origin = _read_source(args.crn, "--crn")
         net = parse_network(text)
         problem = build_problem(net, KineticsMode.parse(args.mode))
         echo = {"network": {"source": origin, "text": text}, "mode": args.mode}

@@ -12,7 +12,7 @@ a binary float). Blank lines and `#` comments are ignored.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 
 def rat(value) -> Fraction:
@@ -344,29 +344,31 @@ def parse_rational_token(token: str) -> Fraction:
         raise ValueError(f"bad rational literal {token!r}: {exc}") from None
 
 
-def parse_matrix_text(text: str, cols: Optional[int] = None) -> RationalMatrix:
-    rows: list[list[Fraction]] = []
-    width: Optional[int] = None
+def read_grid(text: str, parse_token: Callable[[str], object]) -> list[list]:
+    """The rows of a whitespace-separated grid, each token through parse_token,
+    '#' comments and blank lines skipped; [] when no row is left. A ValueError
+    of parse_token, or a row of another width than the first, is a
+    MatrixTextError naming its line."""
+    rows: list[list] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        entries = []
-        for token in line.split():
-            try:
-                entries.append(parse_rational_token(token))
-            except ValueError as exc:
-                raise MatrixTextError(lineno, str(exc)) from None
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise MatrixTextError(lineno, f"row has {len(entries)} entries, expected {width}")
+        try:
+            entries = [parse_token(token) for token in line.split()]
+        except ValueError as exc:
+            raise MatrixTextError(lineno, str(exc)) from None
+        if rows and len(entries) != len(rows[0]):
+            raise MatrixTextError(lineno, f"row has {len(entries)} entries, expected {len(rows[0])}")
         rows.append(entries)
-    if width is None:
-        if cols is None:
-            raise MatrixTextError(0, "empty matrix text and no column count given")
-        width = cols
-    return RationalMatrix(len(rows), width, rows)
+    return rows
+
+
+def parse_matrix_text(text: str, cols: Optional[int] = None) -> RationalMatrix:
+    rows = read_grid(text, parse_rational_token)
+    if not rows and cols is None:
+        raise MatrixTextError(0, "empty matrix text and no column count given")
+    return RationalMatrix(len(rows), len(rows[0]) if rows else cols, rows)
 
 
 def format_matrix_text(M: RationalMatrix) -> str:

@@ -60,16 +60,16 @@ from .injectivity import (
 from .linalg import RationalMatrix, determinant, kernel_basis
 
 _ZERO = Fraction(0)
+_MAGNITUDE = 9              # positive parameters drawn as p/q, p <= magnitude^2, q <= magnitude
+_SCREEN_TOL = 1e-10         # relative near-zero threshold for the float screen
+_SNAP_DENOMINATOR = 10 ** 6
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     trials: int = 1000
     seed: int = 0
-    magnitude: int = 9          # positive parameters drawn as p/q, p <= magnitude^2, q <= magnitude
     batch: int = 4096
-    screen_tol: float = 1e-10   # relative near-zero threshold for the float screen
-    snap_denominator: int = 10 ** 6
     max_exact_attempts: int = 64
 
     def __post_init__(self):
@@ -128,7 +128,7 @@ def _hull(cls: MatrixClass) -> MatrixClass:
     return cls
 
 
-def sample_member(cls: MatrixClass, rng: random.Random, magnitude: int = 9) -> Member:
+def sample_member(cls: MatrixClass, rng: random.Random, magnitude: int = _MAGNITUDE) -> Member:
     """Exact random member with membership evidence, uniform-ish over small
     rationals: each atom of the class's symbolic view is drawn with
     _sample_entry, in the view's order, and the view builds the member. Every
@@ -343,18 +343,18 @@ def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[Si
     if view.rows < S.n or not view.atoms:
         # wide: more unknowns than constraints, every member is singular;
         # no atoms: the class is a single matrix, one kernel check decides
-        member = sample_member(aug, random.Random(cfg.seed), cfg.magnitude)
+        member = sample_member(aug, random.Random(cfg.seed))
         if kernel_basis(member.matrix).cols == 0:
             return None
         return _witness(problem, A, cls, member)
 
     grid = _CompiledGrid(view)
     if view.rows == S.n:
-        # candidates below screen_tol are free (all but certainly singular
+        # candidates below _SCREEN_TOL are free (all but certainly singular
         # already); any other root solve draws on the exact-work budget,
         # after which only screening continues
         screen, free_below, budget, repair = (
-            _det_ratio, cfg.screen_tol, cfg.max_exact_attempts, _root_solve)
+            _det_ratio, _SCREEN_TOL, cfg.max_exact_attempts, _root_solve)
     else:
         # tall: only candidates below the cutoff get an exact kernel check
         screen, free_below, budget, repair = _sigma_ratio, 1e-7, 0, _kernel_check
@@ -371,7 +371,7 @@ def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[Si
                 if attempts >= budget:
                     break
                 attempts += 1
-            assignment = grid.snap(samples[t], cfg.snap_denominator)
+            assignment = grid.snap(samples[t], _SNAP_DENOMINATOR)
             member = None if assignment is None else repair(grid, assignment)
             if member is not None:
                 return _witness(problem, A, cls, member)

@@ -9,11 +9,16 @@ factor's test: tau in sigma(S \\ {0}), rho a sign of the inner image that the
 left side can send to 0. The left side contributes only the list of rho:
 the zero vector alone when there is none, {0} union sigma(ker A \\ {0}) for a
 left matrix A, and the sign vectors every row of an outer sign-set factor can
-be orthogonal to. The test is one exact feasibility question for Scaled and a
-sign test for sign sets; an Interval class is swept over tau alone, one
-feasibility question each. sigma(S) and sigma(ker A) need no feasibility
-question: they are the signs of the elementary vectors, closed under
-conformal composition (`subspace_sign_vectors`).
+be orthogonal to. Every inner factor is tested by sign concordance (a Scaled
+B by the sign pattern of B, which holds it), and Scaled then by one exact
+feasibility question. An Interval class is swept over tau alone, one
+feasibility question each.
+
+sigma(S), sigma(ker A) and the vectors with a given sign that a witness needs
+come from the elementary vectors of the subspace (`subspace_sign_vectors`,
+`realize_sign_in_subspace`), and sign-set members have a closed form
+(`signset_member_rows`), so the phase-1 LP serves only Scaled pairs and
+intervals.
 
 Every search is lexicographic (-1 < 0 < +1) and the first feasible pair is the
 one a witness is built from, so runs are reproducible bit for bit.
@@ -60,18 +65,14 @@ _ONE = Fraction(1)
 def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[SignVector, ...]:
     """sigma(S \\ {0}) as a lexicographically sorted tuple (cached on S).
 
-    Computed without a feasibility problem, from the elementary vectors of S
-    (its nonzero vectors of minimal support) and conformal composition
-    (X o Y)_i = X_i if X_i != 0 else Y_i.
-
-    Exactness: with an image basis V (n x d), Vc is elementary exactly when the
-    rows of V it vanishes on have rank d - 1, so every elementary vector is
-    +-Vc for c spanning the exact kernel of some d - 1 rows of V of rank d - 1.
-    Every z in S \\ {0} is a conformal sum of elementary vectors, so sigma(z)
-    is a composition of their signs (Rockafellar, "The elementary vectors of a
-    subspace of R^N", 1969); conversely sigma(x + eps y) = sigma(x) o sigma(y)
-    for x, y in S and small eps > 0. The closure of the elementary signs under
-    composition is therefore sigma(S \\ {0}), with nothing sampled or dropped.
+    Computed without a feasibility problem, as the closure of the signs of the
+    elementary vectors of S (`_elementary`) under conformal composition
+    (X o Y)_i = X_i if X_i != 0 else Y_i. Every z in S \\ {0} is a conformal
+    sum of elementary vectors, so sigma(z) is a composition of their signs
+    (Rockafellar, "The elementary vectors of a subspace of R^N", 1969);
+    conversely sigma(x + eps y) = sigma(x) o sigma(y) for x, y in S and small
+    eps > 0. The closure is therefore sigma(S \\ {0}), with nothing sampled or
+    dropped.
     """
     if caps is None:
         caps = DEFAULT_CAPS
@@ -92,20 +93,9 @@ def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[Sig
         S._sign_vectors_cache[cache_key] = out
         return out
 
-    # sign vectors as (positive, negative) bit masks over the coordinates
-    V = S.image_basis()
-    d = V.cols
-    elementary: set[tuple[int, int]] = set()
-    for rows in itertools.combinations(range(n), d - 1):
-        c = kernel_basis(RationalMatrix(d - 1, d, [V.row(i) for i in rows]))
-        if c.cols != 1:
-            continue
-        z = V.apply(c.col(0))
-        pos = sum(1 << i for i in range(n) if z[i] > 0)
-        neg = sum(1 << i for i in range(n) if z[i] < 0)
-        elementary.update({(pos, neg), (neg, pos)})
     # X o Y depends on Y only through its signs where X is zero, so the
     # elementary signs are restricted once per zero set
+    elementary = set(_elementary(S))
     restricted: dict[int, set[tuple[int, int]]] = {}
     found = set(elementary)
     newest = elementary
@@ -124,14 +114,53 @@ def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[Sig
     return out
 
 
+def _elementary(S: Subspace) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    """The elementary vectors of S (its nonzero vectors of minimal support),
+    one exact vector per sign, keyed by its (positive, negative) bit masks over
+    the coordinates; cached on S. With an image basis V (n x d), Vc is
+    elementary exactly when the rows of V it vanishes on have rank d - 1, so
+    every elementary vector is +-Vc for c spanning the kernel of some d - 1
+    rows of V of rank d - 1."""
+    cached = S._sign_vectors_cache.get("elementary")
+    if cached is not None:
+        return cached
+    n = S.n
+    V = S.image_basis()
+    d = V.cols
+    elementary: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    for rows in itertools.combinations(range(n), d - 1) if d else ():
+        c = kernel_basis(RationalMatrix(d - 1, d, [V.row(i) for i in rows]))
+        if c.cols != 1:
+            continue
+        z = V.apply(c.col(0))
+        pos = sum(1 << i for i in range(n) if z[i] > 0)
+        neg = sum(1 << i for i in range(n) if z[i] < 0)
+        elementary.setdefault((pos, neg), z)
+        elementary.setdefault((neg, pos), tuple(-v for v in z))
+    S._sign_vectors_cache["elementary"] = elementary
+    return elementary
+
+
 def realize_sign_in_subspace(S: Subspace, tau: SignVector) -> Optional[tuple[Fraction, ...]]:
-    """Exact z in S with sigma(z) = tau."""
-    return strict_sign_feasible(S.kernel_rep(), tau)
+    """Exact z in S with sigma(z) = tau, or None when there is none.
 
-
-def kernel_sign_vectors(A: RationalMatrix, caps: Optional[Caps] = None) -> tuple[SignVector, ...]:
-    """sigma(ker A \\ {0}), lexicographically sorted."""
-    return subspace_sign_vectors(Subspace.from_kernel_rep(A), caps)
+    z is the sum of the elementary vectors of S whose signs are conformal to
+    tau (nonzero only where tau is, and with its sign there). Every vector
+    with signs tau is a conformal sum of such vectors (Rockafellar), so tau is
+    realizable exactly when their supports cover supp tau; the sum cannot
+    cancel, since all its terms agree with tau.
+    """
+    if len(tau) != S.n:
+        raise ValueError("dimension mismatch")
+    pos = sum(1 << i for i, s in enumerate(tau) if s > 0)
+    neg = sum(1 << i for i, s in enumerate(tau) if s < 0)
+    z = [_ZERO] * S.n
+    covered = 0
+    for (p, m), e in _elementary(S).items():
+        if p & ~pos == 0 and m & ~neg == 0:
+            z = [a + b for a, b in zip(z, e)]
+            covered |= p | m
+    return tuple(z) if covered == pos | neg else None
 
 
 # ---------------------------------------------------------------------------
@@ -160,76 +189,48 @@ def concordant_pair(rho, tau, W: SignSetMatrix) -> bool:
         if rho_e[i] == 0:
             if not signset_row_orthogonal(row, tau_e):
                 return False
-        else:
-            if not any(
-                s * tau_e[j] == rho_e[i] for j in range(W.cols) for s in row[j]
-            ):
-                return False
+        elif not any(tau_e[j] and rho_e[i] * tau_e[j] in row[j] for j in range(W.cols)):
+            return False
     return True
 
 
 def signset_member_rows(W: SignSetMatrix, x: Sequence[Fraction],
                         targets: Sequence[Fraction]) -> RationalMatrix:
-    """A matrix with entry signs in W and Bx = targets exactly.
+    """A matrix with entry signs in W and Bx = targets exactly, in closed form.
 
     Preconditions (checked): sigma(targets_i) is concordant with sigma(x) row
     by row, i.e. concordant_pair(sigma(targets), sigma(x), W) holds.
 
-    Zero-target rows come from the exact feasibility solver on the orthogonal
-    sign choice; nonzero-target rows place a dominant entry and shrink the
-    other magnitudes by exact halving until the sign is right, then rescale.
+    Each row first picks a sign row s in W: one orthogonal to sigma(x) for a
+    zero target, otherwise the first entry that can give the target's sign,
+    with 0 (or the entry's first sign) elsewhere. With P and N the coordinates
+    where s_j x_j is positive or negative, and t the target, the magnitudes
+    |b_j x_j| = ([N nonempty] + max(t, 0)) / |P| on P and
+    ([P nonempty] + max(-t, 0)) / |N| on N make b.x = t; b_j = s_j elsewhere.
     """
     n = len(x)
     tau = sigma(x)
     rows: list[list[Fraction]] = []
     for i in range(W.rows):
-        row_sets = W.row(i)
-        target = targets[i]
-        if target == 0:
-            tau_prime = signset_row_orthogonal_witness(row_sets, tau)
-            if tau_prime is None:
+        row_sets, t = W.row(i), targets[i]
+        if t == 0:
+            s = signset_row_orthogonal_witness(row_sets, tau)
+            if s is None:
                 raise ArithmeticError(f"row {i} cannot be made orthogonal to {tau}")
-            if tau_prime.is_zero():
-                rows.append([_ZERO] * n)
-                continue
-            xmat = RationalMatrix(1, n, [list(x)])
-            b = strict_sign_feasible(xmat, tau_prime)
-            if b is None:
-                raise ArithmeticError(f"orthogonal row {i} infeasible for {tau_prime}")
-            rows.append(list(b))
-            continue
-        want = sign_of(target)
-        dominant = None
-        for j in range(n):
-            for s in sorted(row_sets[j]):
-                if s * tau[j] == want:
-                    dominant = (j, s)
-                    break
-            if dominant:
-                break
-        if dominant is None:
-            raise ArithmeticError(f"row {i}: no entry can produce sign {want} against {tau}")
-        j0, s0 = dominant
-        fill = []
-        for j in range(n):
-            if j == j0:
-                fill.append(None)
-            elif 0 in row_sets[j]:
-                fill.append(0)
-            else:
-                fill.append(sorted(row_sets[j])[0])
-        eps = _ONE
-        while True:
-            b = [
-                (Fraction(s0) if j == j0 else Fraction(fill[j]) * eps)
-                for j in range(n)
-            ]
-            dot = sum((bi * xi for bi, xi in zip(b, x)), _ZERO)
-            if dot != 0 and sign_of(dot) == want:
-                break
-            eps = eps / 2
-        scale = target / dot  # positive: same sign
-        rows.append([bi * scale for bi in b])
+        else:
+            want = sign_of(t)
+            j0 = next((j for j in range(n) if tau[j] and want * tau[j] in row_sets[j]), None)
+            if j0 is None:
+                raise ArithmeticError(f"row {i}: no entry can produce sign {want} against {tau}")
+            s = [want * tau[j] if j == j0 else 0 if 0 in row_sets[j] else min(row_sets[j])
+                 for j in range(n)]
+        prods = [s[j] * tau[j] for j in range(n)]
+        P, N = prods.count(1), prods.count(-1)
+        # |b_j x_j| on P and on N
+        share = {1: (Fraction(N > 0) + max(t, _ZERO)) / (P or 1),
+                 -1: (Fraction(P > 0) + max(-t, _ZERO)) / (N or 1)}
+        rows.append([s[j] * share[prods[j]] / abs(x[j]) if prods[j] else Fraction(s[j])
+                     for j in range(n)])
     M = RationalMatrix(W.rows, n, rows)
     if not W.contains(M):
         raise ArithmeticError("constructed rows left the sign-set class")
@@ -261,13 +262,13 @@ class _RowPlan:
     branch_rows: list[list[Fraction]] = field(default_factory=list)  # each: row != 0
 
 
-def _interval_row_constraints(D: IntervalBox, i: int, tau: SignVector,
-                              width: int, u_index: Optional[int]) -> _RowPlan:
-    """Linear constraints tying u_i to the achievable values of row i applied
-    to a z with sigma(z) = tau. Variables are (z, u); width is their total
-    count; u_index is the column of u_i or None when u is identically zero."""
+def _interval_row_constraints(D: IntervalBox, i: int, tau: SignVector, width: int,
+                              u_index: Optional[int], plan: _RowPlan) -> None:
+    """Add to plan the linear constraints tying u_i to the achievable values of
+    row i applied to a z with sigma(z) = tau. Variables are (z, u); width is
+    their total count; u_index is the column of u_i or None when u is
+    identically zero."""
     n = len(tau)
-    plan = _RowPlan()
     base = [_ZERO] * width
     if u_index is not None:
         base[u_index] = _ONE
@@ -288,7 +289,7 @@ def _interval_row_constraints(D: IntervalBox, i: int, tau: SignVector,
 
     if not active:
         plan.eq.append(residual)
-        return plan
+        return
 
     punctured_alone = len(active) == 1 and active[0][1].punctured
     # lower bound: residual >= sum of per-entry range minima (when finite)
@@ -325,7 +326,6 @@ def _interval_row_constraints(D: IntervalBox, i: int, tau: SignVector,
         (plan.strict if hi_open else plan.nonneg).append(row)
     if punctured_alone:
         plan.branch_rows.append(list(residual))
-    return plan
 
 
 def interval_kernel_feasible(
@@ -344,10 +344,7 @@ def interval_kernel_feasible(
     has_u = A is not None
     width = n + (r if has_u else 0)
 
-    eq: list[list[Fraction]] = []
-    nonneg: list[list[Fraction]] = []
-    strict: list[list[Fraction]] = []
-    branch_rows: list[list[Fraction]] = []
+    plan = _RowPlan()
 
     def pad(row, offset):
         out = [_ZERO] * width
@@ -356,36 +353,33 @@ def interval_kernel_feasible(
         return out
 
     for zr in S.kernel_rep().data:
-        eq.append(pad(zr, 0))
+        plan.eq.append(pad(zr, 0))
     if has_u:
         for ar in A.data:
-            eq.append(pad(ar, n))
+            plan.eq.append(pad(ar, n))
     for j, s in enumerate(tau):
         unit = [_ZERO] * width
         unit[j] = _ONE
         if s == 0:
-            eq.append(unit)
+            plan.eq.append(unit)
         elif s > 0:
-            strict.append(unit)
+            plan.strict.append(unit)
         else:
-            strict.append([-v for v in unit])
+            plan.strict.append([-v for v in unit])
 
     for i in range(r):
-        plan = _interval_row_constraints(D, i, tau, width, n + i if has_u else None)
-        eq.extend(plan.eq)
-        nonneg.extend(plan.nonneg)
-        strict.extend(plan.strict)
-        branch_rows.extend(plan.branch_rows)
+        _interval_row_constraints(D, i, tau, width, n + i if has_u else None, plan)
 
-    if len(branch_rows) > 0 and 2 ** len(branch_rows) > caps.branches:
-        raise CapExceeded("branches", 2 ** len(branch_rows), caps.branches)
+    if len(plan.branch_rows) > 0 and 2 ** len(plan.branch_rows) > caps.branches:
+        raise CapExceeded("branches", 2 ** len(plan.branch_rows), caps.branches)
 
-    branch_space = itertools.product((1, -1), repeat=len(branch_rows))
+    branch_space = itertools.product((1, -1), repeat=len(plan.branch_rows))
     for orientation in branch_space:
         extra = [
-            [v * o for v in row] for row, o in zip(branch_rows, orientation)
+            [v * o for v in row] for row, o in zip(plan.branch_rows, orientation)
         ]
-        sol = feasible_cone(width, eq=eq, nonneg=nonneg, strict=strict + extra)
+        sol = feasible_cone(width, eq=plan.eq, nonneg=plan.nonneg,
+                            strict=plan.strict + extra)
         if sol is not None:
             z = sol[:n]
             u = sol[n:] if has_u else tuple([_ZERO] * r)
@@ -507,18 +501,11 @@ class SignRouteResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _achievable_row_signs(brow: Sequence[Fraction], tau: SignVector) -> frozenset:
-    contribs = {sign_of(b) * t for b, t in zip(brow, tau)} - {0}
-    if not contribs:
-        return frozenset({0})
-    if contribs == {1}:
-        return frozenset({1})
-    if contribs == {-1}:
-        return frozenset({-1})
-    return frozenset({-1, 0, 1})
-
-
 def _signsets_of(cls: MatrixClass) -> SignSetMatrix:
+    """The sign sets of a sign-set factor; for Scaled(B) the sign pattern of
+    B, a class that holds every member of Scaled(B)."""
+    if isinstance(cls, Scaled):
+        return SignSetMatrix.from_signs([[sign_of(b) for b in row] for row in cls.B.data])
     return cls.to_signsets() if isinstance(cls, SignPattern) else cls.W
 
 
@@ -541,10 +528,9 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
 
     Every shape but Interval runs one loop over the pairs (tau, rho): the
     left side (none, A, or an outer sign-set factor) supplies the list of rho
-    (`_left_zero_signs`), the inner factor tests each pair (the
-    `pair_sign_feasible` LP after a row-sign prefilter for Scaled,
-    `concordant_pair` for sign sets), and `_hit` builds the witness of the
-    first pair that passes. Interval runs one LP per tau.
+    (`_left_zero_signs`), the inner factor tests each pair (`concordant_pair`,
+    then for Scaled the `pair_sign_feasible` LP), and `_hit` builds the
+    witness of the first pair that passes. Interval runs one LP per tau.
     """
     if not _serves(cls, A):
         return SignRouteResult(False)
@@ -567,70 +553,68 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
         return SignRouteResult(True, injective=True, diagnostics=diag)
 
     outer, inner = (cls.left, cls.right) if isinstance(cls, Product) else (None, cls)
+    scaled = isinstance(inner, Scaled)
     W_out = _signsets_of(outer) if outer is not None else None
-    W_in = None if isinstance(inner, Scaled) else _signsets_of(inner)
-    rhos = _left_zero_signs(W_out, A, inner.rows, caps)
+    W_in = _signsets_of(inner)
+    K = Subspace.from_kernel_rep(A) if A is not None else None
+    rhos = _left_zero_signs(W_out, K, inner.rows, caps)
     if W_out is None:
         diag["rhos"] = len(rhos)
     for tau in taus:
-        if W_in is None:
-            options = [_achievable_row_signs(inner.B.row(i), tau) for i in range(inner.rows)]
         for rho in rhos:
+            # pairs_checked counts the deciding test: concordance for sign
+            # sets, the LP behind it for Scaled
+            if not scaled:
+                diag["pairs_checked"] += 1
+            if not concordant_pair(rho, tau, W_in):
+                continue
             v = None
-            if W_in is None:
-                if any(rho[i] not in options[i] for i in range(inner.rows)):
-                    continue
+            if scaled:
                 diag["pairs_checked"] += 1
                 v = pair_sign_feasible(inner.B, tau, rho)
                 if v is None:
                     continue
-            else:
-                diag["pairs_checked"] += 1
-                if not concordant_pair(rho, tau, W_in):
-                    continue
-            hit = _hit(inner, W_in, W_out, S, A, tau, rho, v)
+            hit = _hit(inner, W_in, W_out, S, K, tau, rho, v)
             return SignRouteResult(True, injective=False, hit=hit, diagnostics=diag)
     return SignRouteResult(True, injective=True, diagnostics=diag)
 
 
-def _left_zero_signs(W_out: Optional[SignSetMatrix], A: Optional[RationalMatrix],
+def _left_zero_signs(W_out: Optional[SignSetMatrix], K: Optional[Subspace],
                      rows: int, caps: Caps) -> list[SignVector]:
     """The sorted signs rho of an inner image that the left side can send to
     0: with an outer sign-set factor, those every row of it can be orthogonal
-    to; otherwise {0} union sigma(ker A), just 0 without a left matrix."""
+    to; otherwise {0} union sigma(K) for K = ker A, just 0 without a left
+    matrix."""
     if W_out is not None:
         if rows > caps.sign_enum_dim:
             raise CapExceeded("sign_enum_dim", rows, caps.sign_enum_dim)
         return [SignVector(c) for c in itertools.product((-1, 0, 1), repeat=rows)
                 if all(signset_row_orthogonal(W_out.row(i), c) for i in range(W_out.rows))]
-    kernel = kernel_sign_vectors(A, caps) if A is not None else ()
+    kernel = subspace_sign_vectors(K, caps) if K is not None else ()
     return [SignVector(c) for c in sorted({(0,) * rows} | {k.entries for k in kernel})]
 
 
-def _hit(inner: MatrixClass, W_in: Optional[SignSetMatrix], W_out: Optional[SignSetMatrix],
-         S: Subspace, A: Optional[RationalMatrix], tau: SignVector, rho: SignVector,
+def _hit(inner: MatrixClass, W_in: SignSetMatrix, W_out: Optional[SignSetMatrix],
+         S: Subspace, K: Optional[Subspace], tau: SignVector, rho: SignVector,
          v: Optional[tuple[Fraction, ...]]) -> SignRouteHit:
     """The singular member of a feasible pair: z in S with signs tau, a target
     image y with signs rho that the left side sends to 0, the inner member
     mapping z to y and, under an outer sign-set factor W_out, the outer member
-    killing y. W_in is the inner sign sets (None for Scaled, whose v has signs
-    tau and Bv signs rho)."""
+    killing y. z, and y in K = ker A, come from the elementary vectors of S and
+    K. v is the LP point of a Scaled inner factor (signs tau, Bv signs rho),
+    None for sign sets."""
     z = realize_sign_in_subspace(S, tau)
-    if z is None:
-        raise ArithmeticError(f"{tau} not realizable in S")
-    if W_in is None:
-        w = inner.B.apply(v)
+    # w has signs rho (Bv, or rho itself for sign sets); y is the image the
+    # inner member must reach: w under an outer factor, else a vector of K
+    w = inner.B.apply(v) if v is not None else tuple(Fraction(s) for s in rho)
     if W_out is not None:
-        # the inner member's own image: Bv, or rho itself for sign sets
-        y = w if W_in is None else tuple(Fraction(s) for s in rho)
-    elif rho.is_zero():
-        y = (_ZERO,) * inner.rows
+        y = w
     else:
-        y = strict_sign_feasible(A, rho)
-        if y is None:
-            raise ArithmeticError(f"{rho} not realizable in the left kernel")
+        y = realize_sign_in_subspace(K, rho) if K is not None else (_ZERO,) * inner.rows
+    if z is None or y is None:
+        raise ArithmeticError(f"pair ({tau}, {rho}) not realizable")
     lift_data = None
-    if W_in is None:
+    if v is not None:
         B = inner.B
         lam = tuple(v[j] / z[j] if z[j] != 0 else _ONE for j in range(len(z)))
         kappa = tuple(y[i] / w[i] if w[i] != 0 else _ONE for i in range(B.rows))

@@ -71,6 +71,23 @@ class TestExitCodes:
         assert out == ""
         assert f"usage error: --S {spec!r}: full:<n> needs an integer n >= 1" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("monomial", "--B", "1 1;2 1", "--S", "im:"), "--S im:"),
+        (("monomial", "--B", "1 1;2 1", "--S", "ker:"), "--S ker:"),
+        (("monomial", "--B", ""), "--B"),
+        (("monomial", "--B", "1 1;2 1", "--A", ""), "--A"),
+        (("monotonic", "--W", ""), "--W"),
+        (("interval", "--D", ""), "--D"),
+        (("falsify", "--D", " "), "--D"),
+        (("crn", ""), "network"),
+    ])
+    def test_empty_matrix_value_is_a_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 64
+        assert out == ""
+        assert f"usage error: {flag} is empty" in err
+        assert "missing file" not in err
+
     def test_cap_exceeded_is_inconclusive(self, capsys):
         code, _, err = run(capsys, "signs", "--S", "full:4",
                            "--caps", "sign_enum_dim=3")

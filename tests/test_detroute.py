@@ -51,7 +51,7 @@ class TestMonomialTables:
         assert analysis.sign is DetSign.POS
         assert table_dict(analysis) == {"m1*m3": F(1)}
 
-    def test_full_pattern_mixed_without_witness(self):
+    def test_full_pattern_mixed_has_a_zero(self):
         # the table alone is MIXED; the zero comes from the walk between
         # points where m1*m4 and m2*m3 dominate
         analysis = det_sign_analysis(SignPattern(((1, 1), (1, 1))))

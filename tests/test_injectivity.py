@@ -118,7 +118,7 @@ class TestSquareDispatch:
         assert verdict.certificate.payload["box"]["min_at_excluded_vertex_only"]
         assert verify_certificate(verdict, p)
 
-    def test_mixed_table_resolved_by_sign_witness(self):
+    def test_mixed_table_resolved_by_table_zero(self):
         p = Problem(SignSets(parse_signsets_text("+ + -\n+ + +")),
                     Subspace.from_kernel_rep(M([1, -1, 1])))
         verdict = check_injectivity(p)

@@ -85,7 +85,7 @@ CASES = {
     "numeric_head_box": lambda: Problem(
         Product(M("-1 0 0 1; 0 1 -1 0"), D("{1} {0}; (0,1) {0}; {0} {1}; {0} (0,1)")),
         Subspace.full(2)),
-    "mixed_table_sign_witness": lambda: Problem(W("+ + -; + + +"), plane()),
+    "mixed_table_zero": lambda: Problem(W("+ + -; + + +"), plane()),
     "signsets_scaled_table": lambda: Problem(signsets_scaled(), plane()),
     "left_interval_full": lambda: Problem(D("(0,1) {0}; {0} {1}"), Subspace.full(2),
                                           left=M("1 -1")),

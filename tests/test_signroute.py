@@ -22,14 +22,20 @@ from injcheck.signroute import (
     concordant_pair,
     interval_kernel_feasible,
     interval_member_through,
-    kernel_sign_vectors,
     pair_sign_feasible,
     realize_sign_in_subspace,
     sign_route,
     signset_member_rows,
     subspace_sign_vectors,
 )
-from injcheck.signs import ALL_SIGN_SETS, SignVector, all_sign_vectors, sigma, sign_orthogonal
+from injcheck.signs import (
+    ALL_SIGN_SETS,
+    SignVector,
+    all_sign_vectors,
+    sigma,
+    sign_of,
+    sign_orthogonal,
+)
 
 F = Fraction
 
@@ -116,12 +122,33 @@ class TestSubspaceSignVectors:
         assert len(got) == len(set(got)) == 4388
 
     def test_every_reported_vector_is_realizable(self):
-        S = Subspace.from_kernel_rep(M([1, -1, 1]))
-        for tau in subspace_sign_vectors(S):
-            z = realize_sign_in_subspace(S, tau)
-            assert z is not None
-            assert sigma(z) == tau
-            assert S.contains(z)
+        # every tau in sigma(S) is realized in S with exactly its signs, and
+        # a random tau is realizable exactly when the LP finds a point
+        rng = random.Random(21)
+        agreed = {True: 0, False: 0}
+        for n, build in itertools.product((1, 2, 3, 4, 5, 6, 4, 5, 6), ("image", "kernel")):
+            k = rng.randint(1, n)
+            rows = [[F(rng.randint(-2, 2)) for _ in range(k if build == "image" else n)]
+                    for _ in range(n if build == "image" else k)]
+            S = (Subspace.from_image(RationalMatrix(n, k, rows)) if build == "image"
+                 else Subspace.from_kernel_rep(RationalMatrix(k, n, rows)))
+            for tau in subspace_sign_vectors(S):
+                z = realize_sign_in_subspace(S, tau)
+                assert z is not None and S.contains(z) and sigma(z) == tau
+            for _ in range(12):
+                tau = sv(*(rng.choice((-1, 0, 1)) for _ in range(n)))
+                z = realize_sign_in_subspace(S, tau)
+                lp = feasibility.strict_sign_feasible(S.kernel_rep(), tau)
+                assert (z is None) == (lp is None), (S, tau)
+                agreed[z is not None] += 1
+                if z is not None:
+                    assert S.contains(z) and sigma(z) == tau
+        assert min(agreed.values()) >= 20, agreed
+
+    def test_zero_subspace_realizes_only_zero(self):
+        S = Subspace.from_kernel_rep(M([1, 0], [0, 1]))
+        assert realize_sign_in_subspace(S, sv(0, 0)) == (F(0), F(0))
+        assert realize_sign_in_subspace(S, sv(1, 0)) is None
 
     def test_cached_on_the_subspace(self):
         S = Subspace.from_kernel_rep(M([1, 2, 3]))
@@ -138,7 +165,7 @@ class TestSubspaceSignVectors:
         assert err.value.cap_name == "sign_enum_dim"
 
     def test_kernel_sign_vectors(self):
-        got = kernel_sign_vectors(M([1, 1]))
+        got = subspace_sign_vectors(Subspace.from_kernel_rep(M([1, 1])))
         assert [v.entries for v in got] == [(-1, 1), (1, -1)]
 
 
@@ -188,23 +215,27 @@ class TestPairsAndConcordance:
         assert B.apply(x) == targets
 
     def test_member_rows_random(self):
-        rng = random.Random(33)
-        built = 0
-        for _ in range(60):
-            r, n = rng.randint(1, 3), rng.randint(1, 3)
+        # zero, positive and negative targets, and rows whose sign row leaves
+        # P or N (the coordinates where b_j x_j is positive or negative) empty
+        rng = random.Random(41)
+        seen = set()
+        for _ in range(400):
+            r, n = rng.randint(1, 3), rng.randint(1, 4)
             W = SignSetMatrix_random(rng, r, n)
-            tau = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
-            rho = tuple(rng.choice((-1, 0, 1)) for _ in range(r))
-            if not concordant_pair(sv(*rho), sv(*tau), W):
+            x = tuple(F(rng.choice((-1, 0, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+                      for _ in range(n))
+            targets = tuple(F(rng.choice((-1, 0, 1)) * rng.randint(1, 7), rng.randint(1, 4))
+                            for _ in range(r))
+            if not concordant_pair(sigma(targets), sigma(x), W):
                 continue
-            x = tuple(F(t) * rng.randint(1, 4) for t in tau)
-            targets = tuple(F(s) * F(rng.randint(1, 5), rng.randint(1, 3))
-                            for s in rho)
             B = signset_member_rows(W, x, targets)
             assert W.contains(B)
             assert B.apply(x) == targets
-            built += 1
-        assert built >= 15
+            for i, t in enumerate(targets):
+                prods = {sigma(B.row(i))[j] * sigma(x)[j] for j in range(n)}
+                seen.add((sign_of(t), 1 in prods, -1 in prods))
+        assert seen >= {(0, False, False), (0, True, True), (1, True, False),
+                        (1, True, True), (-1, False, True), (-1, True, True)}, seen
 
 
 def SignSetMatrix_random(rng, r, n):
@@ -279,7 +310,7 @@ class TestPatternRoute:
         hit = res.hit
         assert hit.tau.entries == (-1, 1, 1)
         assert hit.z == (F(-1), F(1), F(2))
-        assert hit.member.matrix == M([1, 3, -1], [3, 1, 1])
+        assert hit.member.matrix == M([F(1, 2), 1, F(-1, 4)], [1, F(1, 2), F(1, 4)])
 
     def test_multi_sign_sets(self):
         W = parse_signsets_text("0+ -")
@@ -442,6 +473,60 @@ class TestOneSweep:
         res = sign_route(cls, S, left)
         assert res.supported
         assert len(calls) == res.diagnostics["pairs_checked"] > 0
+
+
+class TestNoLpOutsideScaledPairs:
+    @staticmethod
+    def _problems(rng, inner):
+        # (class, S, left matrix) alone, behind a left matrix and as a
+        # product under an outer sign-set factor, on random small S
+        for k in range(90):
+            n, mid = rng.randint(1, 3), rng.randint(1, 3)
+            shape = ("alone", "left", "product")[k % 3]
+            cls = inner(rng, mid, n)
+            A = None
+            if shape == "left":
+                A = RationalMatrix(1, mid, [[rng.randint(-2, 2) for _ in range(mid)]])
+            elif shape == "product":
+                cls = Product(SignSets(SignSetMatrix_random(rng, rng.randint(1, 3), mid)), cls)
+            yield cls, _random_subspace(rng, n), A
+
+    @pytest.mark.parametrize("inner", ["signsets", "pattern"])
+    def test_sign_sets_and_patterns_solve_no_lp(self, monkeypatch, inner):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sign-set decision solved an LP")
+
+        monkeypatch.setattr(feasibility, "feasible_cone", refuse)
+        monkeypatch.setattr(signroute, "feasible_cone", refuse)
+        make = {
+            "signsets": lambda rng, r, n: SignSets(SignSetMatrix_random(rng, r, n)),
+            "pattern": lambda rng, r, n: SignPattern(tuple(
+                tuple(rng.choice((-1, 0, 1)) for _ in range(n)) for _ in range(r))),
+        }[inner]
+        verdicts = set()
+        for cls, S, A in self._problems(random.Random(17), make):
+            res = sign_route(cls, S, A)
+            verdicts.add(res.injective)
+            if not res.injective:
+                hit = res.hit
+                image = hit.member.matrix.apply(hit.z)
+                assert all(x == 0 for x in (A.apply(image) if A is not None else image))
+        assert verdicts == {True, False}
+
+    def test_scaled_solves_one_lp_per_pair_test(self, monkeypatch):
+        lps, pairs = [], []
+        cone, pair = feasibility.feasible_cone, signroute.pair_sign_feasible
+        monkeypatch.setattr(feasibility, "feasible_cone",
+                            lambda *a, **k: lps.append(1) or cone(*a, **k))
+        monkeypatch.setattr(signroute, "pair_sign_feasible",
+                            lambda *a: pairs.append(1) or pair(*a))
+        make = lambda rng, r, n: Scaled(RationalMatrix(
+            r, n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]))
+        verdicts = set()
+        for cls, S, A in self._problems(random.Random(19), make):
+            verdicts.add(sign_route(cls, S, A).injective)
+            assert len(lps) == len(pairs)
+        assert verdicts == {True, False} and len(pairs) > 0
 
 
 class TestUnsupportedShapes:
