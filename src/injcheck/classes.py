@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .limits import CapExceeded, DEFAULT_CAPS
-from .linalg import MatrixTextError, RationalMatrix, Subspace, rat, read_grid
+from .linalg import MatrixTextError, RationalMatrix, Subspace, parse_rational_token, rat, read_grid
 from .signs import SignSet, format_sign_set, parse_sign_set, sign_of
 
 _ZERO = Fraction(0)
@@ -1005,7 +1005,7 @@ def _parse_endpoint(tok: str, side: str) -> Optional[Fraction]:
         return None
     if t in ("inf", "+inf", "-inf"):
         raise ValueError(f"infinite endpoint {t!r} on the wrong side")
-    return Fraction(t)
+    return parse_rational_token(t)
 
 
 def parse_interval_token(token: str) -> IntervalEntry:
@@ -1013,7 +1013,7 @@ def parse_interval_token(token: str) -> IntervalEntry:
     `(-2,0)u(0,5]` (punctured)."""
     tok = token.strip()
     if tok.startswith("{") and tok.endswith("}"):
-        return IntervalEntry.point(Fraction(tok[1:-1].strip()))
+        return IntervalEntry.point(parse_rational_token(tok[1:-1].strip()))
     if ")u(" in tok:
         left, _, right = tok.partition(")u(")
         left = left + ")"

@@ -1,21 +1,36 @@
 """Exact feasibility of homogeneous systems with equalities, weak and strict
-inequalities, decided by a phase-1 simplex over Fraction.
+inequalities, decided by a fraction-free phase-1 simplex over int.
 
 The systems here are always cones: every constraint is of the form row.x = 0,
 row.x >= 0, or row.x > 0. Scaling invariance lets row.x > 0 be replaced by
 row.x >= 1, so strict feasibility reduces to ordinary LP feasibility with no
 epsilon anywhere. Bland's rule guarantees termination.
+
+The tableau is fraction-free, as in Bareiss's elimination (Math. Comp. 1968),
+but it divides each updated row by the gcd of its entries instead of by the
+previous pivot. Each row of ints is a positive multiple of the row of the
+rational tableau. A positive factor changes no sign and no ratio, so every
+entering and leaving choice, and the returned point, are those of the
+rational simplex exactly.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .linalg import RationalMatrix, rat_vector
+from .signs import SignVector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (row itself when that is 0 or 1)."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def _phase1(D: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
@@ -24,54 +39,66 @@ def _phase1(D: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fractio
     Classic phase-1: one artificial per row, minimize their sum with Bland's
     smallest-index rule for both the entering and the tie-broken leaving
     variable.
+
+    Each tableau row is an int multiple s > 0 of its rational row, where s is
+    the coefficient of the row's basic variable (its artificial at the start).
+    With L the lcm of the row scales, the reduced-cost row is
+    L*c - sum_i (L/s_i)*row_i, so every artificial column starts at 0. A pivot
+    sets row <- p*row - f*lead with p = lead[enter] > 0 and divides by the gcd;
+    ratios are compared cross-multiplied. The point is read once at the end as
+    y[bv] = rhs_i / T[i][bv].
     """
     m = len(D)
     if m == 0:
         return []
     n = len(D[0])
     total = n + m
-    T = [list(D[i]) + [(_ONE if j == i else _ZERO) for j in range(m)] + [b[i]] for i in range(m)]
+    T: list[list[int]] = []
+    for i in range(m):
+        row = list(D[i]) + [_ZERO] * m + [b[i]]
+        row[n + i] = _ONE
+        scale = math.lcm(*(v.denominator for v in row))
+        T.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
     basis = list(range(n, total))
-    # reduced costs r_j = c_j - sum_i T[i][j]  (cost 1 on artificials, 0 elsewhere)
-    reduced = []
-    for j in range(total + 1):
-        column_sum = _ZERO
-        for i in range(m):
-            column_sum += T[i][j]
-        cost = _ONE if n <= j < total else _ZERO
-        reduced.append(cost - column_sum)
+    # reduced costs, times L: cost 1 on artificials, 0 elsewhere
+    lcm = math.lcm(*(T[i][n + i] for i in range(m)))
+    reduced = [lcm if n <= j < total else 0 for j in range(total + 1)]
+    for i in range(m):
+        w = lcm // T[i][n + i]
+        reduced = [r - w * v for r, v in zip(reduced, T[i])]
+    reduced = _primitive(reduced)
     while True:
         enter = next((j for j in range(total) if reduced[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             coeff = T[i][enter]
             if coeff > 0:
-                ratio = T[i][total] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = T[i][total] * T[leave][enter]
+                rhs = T[leave][total] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("phase-1 objective unbounded; malformed tableau")
-        piv = T[leave][enter]
-        T[leave] = [v / piv for v in T[leave]]
         lead = T[leave]
+        p = lead[enter]
         for i in range(m):
-            if i != leave and T[i][enter] != 0:
-                f = T[i][enter]
-                T[i] = [a - f * c for a, c in zip(T[i], lead)]
-        if reduced[enter] != 0:
-            f = reduced[enter]
-            reduced = [a - f * c for a, c in zip(reduced, lead)]
+            f = T[i][enter]
+            if i != leave and f != 0:
+                T[i] = _primitive([p * a - f * c for a, c in zip(T[i], lead)])
+        f = reduced[enter]
+        reduced = _primitive([p * a - f * c for a, c in zip(reduced, lead)])
         basis[leave] = enter
-    if -reduced[total] != 0:  # optimal artificial sum
+    if reduced[total] != 0:  # minus the optimal artificial sum, times a positive factor
         return None
     y = [_ZERO] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            y[bv] = T[i][total]
+            y[bv] = Fraction(T[i][total], T[i][bv])
     return y
 
 
@@ -94,8 +121,6 @@ def feasible_cone(
         for r in rows:
             if len(r) != n:
                 raise ValueError(f"constraint row length {len(r)} != {n}")
-    if not strict_rows and not eq_rows and not nonneg_rows:
-        return tuple([_ZERO] * n)
     if not strict_rows:
         return tuple([_ZERO] * n)  # x = 0 satisfies all weak rows
 
@@ -138,8 +163,6 @@ def strict_sign_feasible(
     signs become equalities, nonzero signs strict inequalities of the matching
     direction.
     """
-    from .signs import SignVector
-
     tau_entries = tau.entries if isinstance(tau, SignVector) else tuple(int(s) for s in tau)
     n = len(tau_entries)
     eq: list[Sequence] = []

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own combinatorial shortcuts: sign-set
 concordance is re-decided with one exact feasibility problem per row, and
 subspace sign vectors are re-enumerated by solving one feasibility problem
-per candidate.  Slow, but a second opinion.
+per candidate.  Slow, but a second opinion.  The rational phase-1 simplex is
+kept here as the reference for the integer tableau the library pivots.
 """
 
 import itertools
@@ -47,3 +48,62 @@ def enumerate_subspace_signs(S: Subspace):
         if strict_sign_feasible(Z, cand.entries) is not None:
             out.append(cand)
     return tuple(sorted(out, key=lambda v: v.entries))
+
+
+def fraction_phase1(D, b):
+    """Find y >= 0 with Dy = b (b >= 0 required), or None: the phase-1 simplex
+    of `injcheck.feasibility` pivoted over Fraction, kept as the reference for
+    its integer tableau.
+
+    Classic phase-1: one artificial per row, minimize their sum with Bland's
+    smallest-index rule for both the entering and the tie-broken leaving
+    variable.
+    """
+    m = len(D)
+    if m == 0:
+        return []
+    n = len(D[0])
+    total = n + m
+    T = [list(D[i]) + [Fraction(int(j == i)) for j in range(m)] + [b[i]] for i in range(m)]
+    basis = list(range(n, total))
+    # reduced costs r_j = c_j - sum_i T[i][j]  (cost 1 on artificials, 0 elsewhere)
+    reduced = []
+    for j in range(total + 1):
+        column_sum = Fraction(0)
+        for i in range(m):
+            column_sum += T[i][j]
+        cost = Fraction(1) if n <= j < total else Fraction(0)
+        reduced.append(cost - column_sum)
+    while True:
+        enter = next((j for j in range(total) if reduced[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coeff = T[i][enter]
+            if coeff > 0:
+                ratio = T[i][total] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 objective unbounded; malformed tableau")
+        piv = T[leave][enter]
+        T[leave] = [v / piv for v in T[leave]]
+        lead = T[leave]
+        for i in range(m):
+            if i != leave and T[i][enter] != 0:
+                f = T[i][enter]
+                T[i] = [a - f * c for a, c in zip(T[i], lead)]
+        if reduced[enter] != 0:
+            f = reduced[enter]
+            reduced = [a - f * c for a, c in zip(reduced, lead)]
+        basis[leave] = enter
+    if -reduced[total] != 0:  # optimal artificial sum
+        return None
+    y = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            y[bv] = T[i][total]
+    return y

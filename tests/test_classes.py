@@ -107,6 +107,11 @@ class TestIntervalTokens:
         with pytest.raises(ValueError):
             parse_interval_token("(-1,1)u(2,3)")
 
+    @pytest.mark.parametrize("tok", ["{1/0}", "[0,1/0]"])
+    def test_zero_denominator_is_a_value_error(self, tok):
+        with pytest.raises(ValueError, match="bad rational literal '1/0'"):
+            parse_interval_token(tok)
+
     def test_box_text_round_trip(self):
         text = "{1} (0,1)\n[2,143/50] (-inf,0)\n"
         D = parse_interval_box_text(text)

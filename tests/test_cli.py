@@ -1,6 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +54,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "monomial", "--B", "1 x;2 1")
         assert code == 65
         assert "input error" in err
+
+    @pytest.mark.parametrize("box", ["{1/0} (0,1)", "[0,1/0] (0,1)"])
+    def test_zero_denominator_in_interval_endpoint(self, capsys, box):
+        code, out, err = run(capsys, "interval", "--D", box)
+        assert code == 65
+        assert out == ""
+        assert "input error: line 1: bad rational literal '1/0'" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "monomial", "--B", "nosuchfile.txt")
@@ -287,3 +297,11 @@ class TestInstalledEntryPoint:
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "status: INJECTIVE" in proc.stdout
+
+    def test_python_dash_m(self):
+        src = str(Path(injcheck.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "injcheck", "--help"],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: injcheck")

@@ -9,9 +9,14 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from injcheck import feasibility
 from injcheck.feasibility import feasible_cone, strict_sign_feasible
 from injcheck.linalg import RationalMatrix
 from injcheck.signs import SignVector
+
+from oracles import fraction_phase1
 
 F = Fraction
 
@@ -113,3 +118,72 @@ class TestAgainstBruteForce:
             solved = strict_sign_feasible(Z, tau)
             if grid_hit is not None:
                 assert solved is not None, (Z_rows, tau.entries, grid_hit)
+
+
+def fraction_cone(n, eq=(), nonneg=(), strict=()):
+    """feasible_cone with its phase-1 solved by the rational reference simplex."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(feasibility, "_phase1", fraction_phase1)
+        return feasible_cone(n, eq=eq, nonneg=nonneg, strict=strict)
+
+
+def assert_meets(x, eq, nonneg, strict):
+    def dot(row):
+        return sum(F(a) * b for a, b in zip(row, x))
+    assert all(dot(r) == 0 for r in eq)
+    assert all(dot(r) >= 0 for r in nonneg)
+    assert all(dot(r) >= 1 for r in strict)  # strict rows have slack at least 1
+
+
+class TestIntegerTableauMatchesFractionTableau:
+    """The int tableau pivots positive multiples of the rational rows, so it
+    must return the very point the Fraction simplex returns."""
+
+    def test_random_cones(self):
+        rng = random.Random(2026)
+
+        def rows(n, k):
+            return [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n)]
+                    for _ in range(k)]
+
+        outcomes = set()
+        for case in range(300):
+            n = rng.randint(1, 6)
+            eq = rows(n, rng.choice((0, 0, 1, 2, 3)))
+            nonneg = rows(n, rng.choice((0, 0, 1, 2, 3)))
+            strict = rows(n, rng.choice((0, 1, 2, 3, 4)))
+            if strict and case % 5 == 0:
+                # h.x > 0 and -h.x > 0 together: infeasible by construction
+                strict.append([-v for v in strict[0]])
+            x = feasible_cone(n, eq=eq, nonneg=nonneg, strict=strict)
+            assert x == fraction_cone(n, eq=eq, nonneg=nonneg, strict=strict), case
+            if x is not None:
+                assert_meets(x, eq, nonneg, strict)
+            outcomes.add((bool(eq), bool(nonneg), bool(strict), x is None))
+        assert (True, True, True, True) in outcomes
+        assert (True, True, True, False) in outcomes
+        assert (False, False, True, False) in outcomes
+        assert (False, False, False, False) in outcomes
+
+    def test_degenerate_ratio_tie_breaks_on_the_basis_index(self):
+        # two rows tie at ratio 0 here; a leaving row picked by position
+        # instead of by basis index returns another point
+        eq = [[F(-1, 2), 0, F(-1, 7), F(-3, 4), F(1, 3), -4]]
+        nonneg = [[F(1, 2), F(1, 3), F(5, 7), F(-2, 3), F(-1, 2), -2]]
+        strict = [[F(1, 4), F(-3, 5), 1, -1, -2, F(2, 5)]]
+        x = feasible_cone(6, eq=eq, nonneg=nonneg, strict=strict)
+        assert x == fraction_cone(6, eq=eq, nonneg=nonneg, strict=strict)
+        assert x == (F(-212, 89), 0, F(238, 89), F(96, 89), 0, 0)
+        assert_meets(x, eq, nonneg, strict)
+
+    def test_large_coprime_denominators(self):
+        primes = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+        n = 6
+        eq = [[F((-1) ** j, primes[j]) for j in range(n)],
+              [F(1, primes[-1 - j]) if j % 2 else F(-1, primes[j + 6]) for j in range(n)]]
+        nonneg = [[F(1, primes[12 + j]) for j in range(n)]]
+        strict = [[F(1 if j == k else 0, primes[18 + k]) for j in range(n)] for k in (0, 2)]
+        x = feasible_cone(n, eq=eq, nonneg=nonneg, strict=strict)
+        assert x is not None
+        assert x == fraction_cone(n, eq=eq, nonneg=nonneg, strict=strict)
+        assert_meets(x, eq, nonneg, strict)
