@@ -684,18 +684,24 @@ class Poly:
                 raise ValueError(f"degree {e} > 1 in {name}")
         return Poly(p1), Poly(p0)
 
-    def substitute(self, name: str, value) -> "Poly":
-        """Replace an atom by a constant (works for any degree)."""
-        value = rat(value)
+    def substitute(self, values: Mapping[str, Fraction]) -> "Poly":
+        """Replace the named atoms by constants in one pass over the terms
+        (works for any degree)."""
+        if not values:
+            return self
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.pop(name, 0)
-            coeff = c * value ** e
-            if coeff == 0:
+            rest = []
+            for a, e in m:
+                v = values.get(a)
+                if v is None:
+                    rest.append((a, e))
+                else:
+                    c *= v if e == 1 else v ** e
+            if c == 0:
                 continue
-            key = _mono_key(exps.items())
-            s = out.get(key, _ZERO) + coeff
+            key = tuple(rest)
+            s = out.get(key, _ZERO) + c
             if s == 0:
                 out.pop(key, None)
             else:
@@ -746,8 +752,7 @@ class Poly:
 
 @dataclass(frozen=True)
 class AtomInfo:
-    kind: str                 # "positive" or "interval"
-    domain: IntervalEntry     # (0, inf) for positive atoms
+    domain: IntervalEntry     # (0, inf) for scalings and sign magnitudes
 
 
 @dataclass
@@ -792,7 +797,7 @@ def _view_scaled(cls: Scaled, namer: _AtomNamer, drop_row_scalings: bool) -> Sym
         grid.append(row)
     for name in (k_names or []) + l_names:
         if name in used:
-            atoms[name] = AtomInfo("positive", IntervalEntry.positive())
+            atoms[name] = AtomInfo(IntervalEntry.positive())
 
     def build(assignment: Mapping[str, Fraction]) -> Member:
         kappa = tuple(
@@ -825,7 +830,7 @@ def _view_pattern(signs: tuple[tuple[int, ...], ...], namer: _AtomNamer) -> Symb
             else:
                 name = namer.next("m")
                 names[(i, j)] = name
-                atoms[name] = AtomInfo("positive", IntervalEntry.positive())
+                atoms[name] = AtomInfo(IntervalEntry.positive())
                 row.append(Poly.atom(name, s))
         grid.append(row)
 
@@ -862,7 +867,7 @@ def _view_interval(cls: Interval, namer: _AtomNamer) -> SymbolicView:
             else:
                 name = namer.next("v")
                 names[(i, j)] = name
-                atoms[name] = AtomInfo("interval", e)
+                atoms[name] = AtomInfo(e)
                 row.append(Poly.atom(name))
         grid.append(row)
 

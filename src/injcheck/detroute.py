@@ -2,41 +2,47 @@
 
 The symbolic view turns det of a class member into one polynomial P in named
 atoms, multilinear in every atom (each atom lives in a single row or a single
-column of one factor). Two analyses share that polynomial:
+column of one factor). One analysis decides the sign of P over the atom
+domains:
 
-* monomial table - when every atom ranges over (0, inf), the sign of each
-  monomial is the sign of its coefficient, so the table of (monomial,
-  coefficient) pairs decides POS / NEG / MIXED directly. P is multilinear, so
-  a MIXED table always has an exact positive zero (see _table_zero).
+* Sub-boxes. A punctured domain, or (-inf, inf), is split at zero. Each piece
+  is then bounded, or a half-line with anchor a and direction d = +1 or -1.
 
-* box analysis - atoms bounded by general intervals. Multilinearity puts the
-  extremes of P over the closed box at vertices. Infinite and punctured entry
-  domains are first normalized: a punctured or two-sided-infinite domain is
-  split at zero, and each half-infinite side is compactified by an exact
-  change of variable that keeps the polynomial multilinear and its sign:
-  for nu in [l, inf), nu = (l + (1-l)s)/(1-s) gives (1-s) P = P1 (l + (1-l)s)
-  + P0 (1-s) with s in [0,1], where the s = 1 vertex is the limit direction
-  and always excluded.
+* Shifts. A half-line atom is written v = a + d*w with w >= 0, and w > 0 when
+  the anchor is open. The shift is affine, so P stays multilinear in the
+  bounded atoms and the w's.
 
-Zero attainment on a box where P does not change strict sign is decided by an
-exact recursion (see zero_attained_nonneg); "minimum zero only at excluded
-vertices" alone is not sufficient for strict positivity, because an affine
-fiber can vanish identically over an admissible face.
+* Vertex tables. For fixed w, P is affine in each bounded atom, so its
+  extremes over the closed box of the bounded atoms sit at vertices. At each
+  vertex one partial evaluation of P leaves a monomial table in the w's. On
+  the closed orthant a table is >= 0 when all its coefficients are. A
+  coefficient c on a monomial e gives the table the sign of c at w = t on e
+  and 1/t elsewhere, for t large: every other monomial has lower degree in t.
+  So a sub-box is MIXED when its tables hold coefficients of both signs, ZERO
+  when they are all empty, and otherwise of one weak sign, where an exact
+  recursion decides whether the zero is attained (see zero_attained_nonneg).
+  The extremes of det over the closure of a sub-box are the extreme constant
+  terms of its tables, or -inf/inf when some table has a nonconstant monomial
+  whose coefficient points that way.
+
+When every atom ranges over (0, inf) there is one sub-box, no bounded atom and
+w = v: the one table is the monomial table of P, and it is the certificate
+(kind "monomial-table"). Any other domain gives a box certificate (kind
+"box"), in entry coordinates.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .classes import (
-    AtomInfo,
     IntervalEntry,
     MatrixClass,
-    Member,
     Monomial,
     Poly,
     SymbolicView,
@@ -49,6 +55,9 @@ from .limits import CapExceeded, Caps, DEFAULT_CAPS
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+_POSITIVE = IntervalEntry.positive()
+
+Extreme = Union[Fraction, float]  # a float only for -inf or inf
 
 
 class DetSign(enum.Enum):
@@ -77,10 +86,9 @@ class BoxSummary:
     atom_domains: dict[str, str]
     sub_boxes: int
     vertices_evaluated: int
-    compactified: bool
-    min_value: Fraction
+    min_value: Extreme  # extremes of det over the closure of the box
     min_excluded: bool
-    max_value: Fraction
+    max_value: Extreme
     max_excluded: bool
     vertex_rows: Optional[list[dict]]  # kept when small enough to be readable
 
@@ -89,7 +97,6 @@ class BoxSummary:
             "atoms": {a: self.atom_domains[a] for a in self.atom_order},
             "sub_boxes": self.sub_boxes,
             "vertices_evaluated": self.vertices_evaluated,
-            "compactified": self.compactified,
             "min_value": str(self.min_value),
             "min_at_excluded_vertex_only": self.min_excluded,
             "max_value": str(self.max_value),
@@ -167,10 +174,6 @@ def symbolic_determinant(grid: Sequence[Sequence[Poly]], cap: Optional[int] = No
     return minor(0, (1 << n) - 1)
 
 
-# ---------------------------------------------------------------------------
-# monomial table
-
-
 def _build_table(P: Poly) -> MonomialTable:
     terms = tuple(P.sorted_terms())
     degrees = {sum(e for _, e in m) for m, _ in terms}
@@ -182,65 +185,27 @@ def _build_table(P: Poly) -> MonomialTable:
     )
 
 
-def _table_zero(P: Poly, table: MonomialTable) -> dict[str, Fraction]:
-    """A positive zero of P whose table has terms of both signs.
-
-    For a term e, the atoms of e at t and the others at 1/t give every term m
-    the degree |m & e| - |m - e| in t, which is below |e| unless m = e (P is
-    multilinear). For t = 2, 4, 8, ... P therefore takes the sign of e at
-    last; the walk between the points of the first positive and the first
-    negative term stays in the positive orthant.
-    """
-    if not P.is_multilinear():
-        raise ArithmeticError("determinant is not multilinear in its atoms")
-    names = sorted(P.atoms())
-
-    def point_with_sign_of(term: Monomial, sign: int) -> dict[str, Fraction]:
-        support = {a for a, _ in term}
-        t = Fraction(2)
-        while True:
-            point = {a: t if a in support else 1 / t for a in names}
-            if P.evaluate(point) * sign > 0:
-                return point
-            t *= 2
-
-    pos = next(m for m, c in table.terms if c > 0)
-    neg = next(m for m, c in table.terms if c < 0)
-    return _walk_to_zero(P, names, point_with_sign_of(pos, 1), point_with_sign_of(neg, -1))
-
-
 # ---------------------------------------------------------------------------
-# box machinery
-
-# transforms recorded per atom per sub-box; each knows how to map the
-# transformed coordinate back to an original entry value
-_IDENTITY = ("id",)
-
-
-def _inverse_transform(tag, s: Fraction) -> Fraction:
-    if tag[0] == "id":
-        return s
-    if tag[0] == "low_inf":  # original domain [l, inf), s in [0,1)
-        l = tag[1]
-        return (l + (_ONE - l) * s) / (_ONE - s)
-    if tag[0] == "up_inf":  # original domain (-inf, u], s in [0,1)
-        u = tag[1]
-        return (u - (_ONE + u) * s) / (_ONE - s)
-    raise ValueError(f"unknown transform {tag!r}")
+# sub-boxes
 
 
 @dataclass
 class _BoxAtom:
+    """A bounded atom of one sub-box."""
     name: str
     lo: Fraction
     hi: Fraction
     lo_included: bool
     hi_included: bool
-    transform: tuple
 
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
+
+@dataclass
+class _Ray:
+    """A half-line atom of one sub-box: v = anchor + direction * w."""
+    name: str
+    anchor: Fraction
+    direction: int
+    closed: bool  # w >= 0 when closed, w > 0 when open
 
 
 def _split_entry(e: IntervalEntry) -> list[IntervalEntry]:
@@ -257,96 +222,74 @@ def _split_entry(e: IntervalEntry) -> list[IntervalEntry]:
     return [e]
 
 
-def _compactify(P: Poly, name: str, e: IntervalEntry) -> tuple[Poly, _BoxAtom]:
-    """Entry domain with at most one infinite side -> transformed poly and a
-    finite [0,1] or original finite domain for the atom."""
-    if e.lower is not None and e.upper is not None:
-        return P, _BoxAtom(name, e.lower, e.upper,
-                           not e.lower_open, not e.upper_open, _IDENTITY)
-    P1, P0 = P.split(name)
-    if e.lower is not None:  # [l, inf)
-        l = e.lower
-        stretch = Poly.const(l) + Poly.atom(name, _ONE - l)   # l + (1-l)s
-        shrink = Poly.const(1) + Poly.atom(name, -1)           # 1 - s
-        Q = P1 * stretch + P0 * shrink
-        return Q, _BoxAtom(name, _ZERO, _ONE, not e.lower_open, False, ("low_inf", l))
-    u = e.upper  # (-inf, u]
-    stretch = Poly.const(u) + Poly.atom(name, -(_ONE + u))     # u - (1+u)s
-    shrink = Poly.const(1) + Poly.atom(name, -1)
-    Q = P1 * stretch + P0 * shrink
-    return Q, _BoxAtom(name, _ZERO, _ONE, not e.upper_open, False, ("up_inf", u))
+def _is_bounded(e: IntervalEntry) -> bool:
+    return e.lower is not None and e.upper is not None
 
 
-def _atom_interior(a: _BoxAtom) -> Fraction:
-    return (a.lo + a.hi) / 2
+def zero_attained_nonneg(P: Poly, atoms: Sequence[_BoxAtom],
+                         rays: Sequence[_Ray]) -> Optional[dict[str, Fraction]]:
+    """For multilinear P >= 0 on the closure of a sub-box, whose vertex tables
+    have no negative coefficient: an admissible zero, or None. The rays enter
+    P, and the returned zero, as their w's.
 
-
-def zero_attained_nonneg(P: Poly, atoms: Sequence[_BoxAtom]) -> Optional[dict[str, Fraction]]:
-    """For multilinear P >= 0 on the closed box: an admissible zero, or None.
-
-    Recursion per atom: a zero with the coordinate at an included endpoint
-    shows up on that face; a zero with the coordinate interior forces the
-    affine fiber to vanish identically, i.e. P|lo + P|hi = 0 at the remaining
-    coordinates, in which case the fiber midpoint is admissible.
+    Recursion per bounded atom: a zero with the coordinate at an included
+    endpoint shows up on that face; a zero with the coordinate interior forces
+    the affine fiber to vanish identically, i.e. P|lo + P|hi = 0 at the
+    remaining coordinates, in which case the fiber midpoint is admissible.
+    With no bounded atom left, P is a table in the w's with no negative
+    coefficient. It vanishes at an admissible w unless a monomial made only of
+    open w's has a positive coefficient, and then at the closed w's = 0 and
+    the open w's = 1.
     """
     if not atoms:
-        return {} if P.is_zero() or (P.is_const() and P.const_value() == 0) else None
+        open_ws = {r.name for r in rays if not r.closed}
+        if any(c > 0 and all(a in open_ws for a, _ in m) for m, c in P.terms.items()):
+            return None
+        return {r.name: _ZERO if r.closed else _ONE for r in rays}
     a, rest = atoms[0], atoms[1:]
-    if a.is_point:
-        hit = zero_attained_nonneg(P.substitute(a.name, a.lo), rest)
-        if hit is not None:
-            hit[a.name] = a.lo
-        return hit
-    Pl = P.substitute(a.name, a.lo)
-    Ph = P.substitute(a.name, a.hi)
-    if a.lo_included:
-        hit = zero_attained_nonneg(Pl, rest)
-        if hit is not None:
-            hit[a.name] = a.lo
-            return hit
-    if a.hi_included:
-        hit = zero_attained_nonneg(Ph, rest)
-        if hit is not None:
-            hit[a.name] = a.hi
-            return hit
-    hit = zero_attained_nonneg(Pl + Ph, rest)
+    Pl = P.substitute({a.name: a.lo})
+    Ph = P.substitute({a.name: a.hi})
+    for value, included, face in ((a.lo, a.lo_included, Pl), (a.hi, a.hi_included, Ph)):
+        if included:
+            hit = zero_attained_nonneg(face, rest, rays)
+            if hit is not None:
+                hit[a.name] = value
+                return hit
+    hit = zero_attained_nonneg(Pl + Ph, rest, rays)
     if hit is not None:
-        hit[a.name] = _atom_interior(a)
-        return hit
-    return None
+        hit[a.name] = (a.lo + a.hi) / 2
+    return hit
 
 
-def _pull_admissible(P: Poly, atoms: Sequence[_BoxAtom],
-                     vertex: dict[str, Fraction]) -> dict[str, Fraction]:
-    """Move a vertex with nonzero value off its excluded endpoints while
-    keeping the sign, by exact halving toward the box midpoint."""
-    target_sign = 1 if P.evaluate(vertex) > 0 else -1
-    excluded = []
-    for a in atoms:
-        at_lo = vertex[a.name] == a.lo and not a.lo_included
-        at_hi = vertex[a.name] == a.hi and not a.hi_included
-        if (at_lo or at_hi) and not a.is_point:
-            excluded.append(a)
+def _pull_admissible(P: Poly, atoms: Sequence[_BoxAtom], point: dict[str, Fraction],
+                     sign: int) -> dict[str, Fraction]:
+    """Move a point where P has the given sign off the excluded endpoints of
+    its bounded atoms while keeping the sign, by exact halving toward the
+    box midpoint."""
+    excluded = [a for a in atoms
+                if (point[a.name] == a.lo and not a.lo_included)
+                or (point[a.name] == a.hi and not a.hi_included)]
     if not excluded:
-        return dict(vertex)
+        return point
     scale = _HALF
     while True:
-        candidate = dict(vertex)
+        candidate = dict(point)
         for a in excluded:
-            mid = _atom_interior(a)
-            candidate[a.name] = vertex[a.name] + (mid - vertex[a.name]) * scale
-        value = P.evaluate(candidate)
-        if value != 0 and (value > 0) == (target_sign > 0):
+            mid = (a.lo + a.hi) / 2
+            candidate[a.name] = point[a.name] + (mid - point[a.name]) * scale
+        if P.evaluate(candidate) * sign > 0:
             return candidate
         scale = scale / 2
 
 
 def _walk_to_zero(P: Poly, names: Sequence[str],
                   a_pt: dict[str, Fraction], b_pt: dict[str, Fraction]) -> dict[str, Fraction]:
-    """Exact zero of P between two points of opposite strict sign, moving
-    one coordinate at a time; each leg is affine, so the crossing leg is
-    solved by one division. Every coordinate visited lies between its values
-    at the two points."""
+    """Exact zero of multilinear P between two points of opposite strict
+    sign, moving one coordinate at a time; each leg is affine, so the crossing
+    leg is solved by one division. Every coordinate visited lies between its
+    values at the two points."""
+    if not P.is_multilinear():
+        raise ArithmeticError("determinant is not multilinear in its atoms")
     cur = dict(a_pt)
     val = P.evaluate(cur)
     if val == 0:
@@ -355,10 +298,7 @@ def _walk_to_zero(P: Poly, names: Sequence[str],
         target = b_pt[name]
         if cur[name] == target:
             continue
-        restricted = P
-        for other in names:
-            if other != name:
-                restricted = restricted.substitute(other, cur[other])
+        restricted = P.substitute({o: cur[o] for o in names if o != name})
         lin, const = restricted.split(name)
         alpha = lin.const_value()
         beta = const.const_value()
@@ -377,154 +317,120 @@ def _walk_to_zero(P: Poly, names: Sequence[str],
 @dataclass
 class _SubBoxOutcome:
     sign: DetSign
-    zero: Optional[dict[str, Fraction]]  # original coordinates
-    min_value: Fraction
+    zero: Optional[dict[str, Fraction]]  # entry coordinates
+    min_value: Extreme
     min_excluded: bool
-    max_value: Fraction
+    max_value: Extreme
     max_excluded: bool
-    vertices: int
     vertex_rows: Optional[list[dict]]
-    compactified: bool
 
 
-def _restore(atoms: Sequence[_BoxAtom], assignment: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    return {a.name: _inverse_transform(a.transform, assignment[a.name]) for a in atoms}
-
-
-def _analyze_sub_box(P: Poly, entries: dict[str, IntervalEntry],
-                     caps: Caps, keep_rows: bool) -> _SubBoxOutcome:
+def _analyze_sub_box(P: Poly, entries: dict[str, IntervalEntry], keep_rows: bool,
+                     need_zero: bool) -> _SubBoxOutcome:
+    """Sign and extremes of P over one sub-box; a zero when it is MIXED,
+    unless need_zero is false and finding it would take a walk."""
     atoms: list[_BoxAtom] = []
-    Q = P
-    compactified = False
+    rays: list[_Ray] = []
     for name in sorted(entries):
         e = entries[name]
-        if e.is_point:
-            Q = Q.substitute(name, e.lower)
-            atoms.append(_BoxAtom(name, e.lower, e.lower, True, True, _IDENTITY))
-            continue
-        Q, atom = _compactify(Q, name, e)
-        if atom.transform is not _IDENTITY:
-            compactified = True
-        atoms.append(atom)
-    free = [a for a in atoms if not a.is_point]
-    if (1 << len(free)) > caps.vertices:
-        raise CapExceeded("vertices", 1 << len(free), caps.vertices)
+        if _is_bounded(e):
+            atoms.append(_BoxAtom(name, e.lower, e.upper, not e.lower_open, not e.upper_open))
+        elif e.lower is not None:
+            rays.append(_Ray(name, e.lower, 1, not e.lower_open))
+        else:
+            rays.append(_Ray(name, e.upper, -1, not e.upper_open))
+    Q = P  # P with each ray atom standing for its w
+    for r in rays:
+        if r.anchor != 0 or r.direction != 1:
+            lin, const = Q.split(r.name)
+            Q = lin * (Poly.const(r.anchor) + Poly.atom(r.name, r.direction)) + const
+    anchors_open = any(not r.closed for r in rays)
 
-    best_min = None
-    best_max = None
-    min_excluded_only = True
-    max_excluded_only = True
-    argmin = argmax = None
+    lo = hi = None
+    lo_excluded = hi_excluded = True
+    bottom = top = None  # (vertex, excluded, table) where lo and hi sit
     rows = [] if keep_rows else None
-    count = 0
-    choices = [((a, a.lo, a.lo_included), (a, a.hi, a.hi_included)) for a in free]
-    for combo in itertools.product(*choices) if free else [()]:
-        assignment = {a.name: a.lo for a in atoms if a.is_point}
-        excluded = False
-        for a, value, included in combo:
-            assignment[a.name] = value
-            if not included:
-                excluded = True
-        value = Q.evaluate(assignment)
-        count += 1
-        if rows is not None and count <= 64:
+    choices = [((a.lo, a.lo_included), (a.hi, a.hi_included)) for a in atoms]
+    for combo in itertools.product(*choices):
+        vertex = {a.name: value for a, (value, _) in zip(atoms, combo)}
+        excluded = not all(included for _, included in combo)
+        table = Q.substitute(vertex)
+        if rows is not None:
             rows.append({
-                "assignment": {a.name: str(assignment[a.name]) for a in free},
-                "value": str(value),
+                "assignment": {n: str(v) for n, v in vertex.items()},
+                "value": str(P.substitute(vertex)),
                 "excluded": excluded,
             })
-        if best_min is None or value < best_min:
-            best_min, min_excluded_only, argmin = value, excluded, dict(assignment)
-        elif value == best_min and min_excluded_only and not excluded:
-            min_excluded_only, argmin = False, dict(assignment)
-        if best_max is None or value > best_max:
-            best_max, max_excluded_only, argmax = value, excluded, dict(assignment)
-        elif value == best_max and max_excluded_only and not excluded:
-            max_excluded_only, argmax = False, dict(assignment)
-    if rows is not None and count > 64:
-        rows = None
+        grows = falls = False
+        for m, c in table.terms.items():
+            if m:
+                grows = grows or c > 0
+                falls = falls or c < 0
+        # a finite extreme sits at the corner w = 0 of this vertex
+        const = table.terms.get((), _ZERO)
+        corner_excluded = excluded or anchors_open
+        up, up_excluded = (math.inf, True) if grows else (const, corner_excluded)
+        down, down_excluded = (-math.inf, True) if falls else (const, corner_excluded)
+        here = (vertex, excluded, table)
+        if hi is None or up > hi:
+            hi, hi_excluded, top = up, up_excluded, here
+        elif up == hi and hi_excluded and not up_excluded:
+            hi_excluded, top = False, here
+        if lo is None or down < lo:
+            lo, lo_excluded, bottom = down, down_excluded, here
+        elif down == lo and lo_excluded and not down_excluded:
+            lo_excluded, bottom = False, here
 
     def out(sign: DetSign, zero: Optional[dict[str, Fraction]]) -> _SubBoxOutcome:
-        return _SubBoxOutcome(sign, zero, best_min, min_excluded_only,
-                              best_max, max_excluded_only, count, rows, compactified)
+        if zero is not None:
+            for r in rays:
+                zero[r.name] = r.anchor + r.direction * zero[r.name]
+        return _SubBoxOutcome(sign, zero, lo, lo_excluded, hi, hi_excluded, rows)
 
-    if best_min == 0 and best_max == 0:
-        interior = {a.name: (_atom_interior(a) if not a.is_point else a.lo) for a in atoms}
-        return out(DetSign.ZERO, _restore(atoms, interior))
-    if best_min > 0:
+    if lo == 0 and hi == 0:  # every table is empty
+        interior = {a.name: (a.lo + a.hi) / 2 for a in atoms}
+        interior.update((r.name, _ONE) for r in rays)
+        return out(DetSign.ZERO, interior)
+    if lo > 0:
         return out(DetSign.POS, None)
-    if best_max < 0:
+    if hi < 0:
         return out(DetSign.NEG, None)
-    if best_min == 0:  # Q >= 0 on the closed box
-        hit = zero_attained_nonneg(Q, atoms)
-        if hit is None:
-            return out(DetSign.POS, None)
-        return out(DetSign.MIXED, _restore(atoms, hit))
-    if best_max == 0:  # Q <= 0
-        hit = zero_attained_nonneg(-Q, atoms)
-        if hit is None:
-            return out(DetSign.NEG, None)
-        return out(DetSign.MIXED, _restore(atoms, hit))
-    # strict sign change: an admissible zero always exists
-    neg_pt = _pull_admissible(Q, atoms, argmin)
-    pos_pt = _pull_admissible(Q, atoms, argmax)
-    zero = _walk_to_zero(Q, [a.name for a in atoms], neg_pt, pos_pt)
-    return out(DetSign.MIXED, _restore(atoms, zero))
+    if lo == 0:  # no negative coefficient in any table
+        hit = zero_attained_nonneg(Q, atoms, rays)
+        return out(DetSign.POS, None) if hit is None else out(DetSign.MIXED, hit)
+    if hi == 0:
+        hit = zero_attained_nonneg(-Q, atoms, rays)
+        return out(DetSign.NEG, None) if hit is None else out(DetSign.MIXED, hit)
+    # coefficients of both signs: an admissible zero always exists
+    if not need_zero:
+        return out(DetSign.MIXED, None)
+    pos_pt = _point_of_sign(Q, atoms, rays, top, 1)
+    neg_pt = _point_of_sign(Q, atoms, rays, bottom, -1)
+    # either order finds an exact zero; this one keeps the witnesses of
+    # monomial tables and of bounded boxes stable
+    ends = (pos_pt, neg_pt) if rays else (neg_pt, pos_pt)
+    return out(DetSign.MIXED, _walk_to_zero(Q, sorted(entries), *ends))
 
 
-def _box_analysis(P: Poly, infos: Mapping[str, AtomInfo], caps: Caps) -> tuple[DetSign,
-                                                                  BoxSummary,
-                                                                  Optional[dict]]:
-    # atoms absent from P only matter for member construction, not for the sign
-    names = sorted(P.atoms())
-    split_lists = []
-    for name in names:
-        split_lists.append([(name, piece) for piece in _split_entry(infos[name].domain)])
-    sub_count = 1
-    for pieces in split_lists:
-        sub_count *= len(pieces)
-    free_atoms = len(names)
-    if sub_count * (1 << free_atoms) > caps.vertices:
-        raise CapExceeded("vertices", sub_count * (1 << free_atoms), caps.vertices)
-
-    outcomes: list[_SubBoxOutcome] = []
-    for combo in itertools.product(*split_lists) if split_lists else [()]:
-        entries = {name: piece for name, piece in combo}
-        outcomes.append(_analyze_sub_box(P, entries, caps, keep_rows=(sub_count == 1)))
-
-    signs = {o.sign for o in outcomes}
-    zero_holder = next((o for o in outcomes if o.sign is DetSign.MIXED), None)
-    if zero_holder is None:
-        zero_holder = next((o for o in outcomes if o.sign is DetSign.ZERO), None)
-    if DetSign.MIXED in signs:
-        overall = DetSign.MIXED
-    elif signs == {DetSign.ZERO}:
-        overall = DetSign.ZERO
-    elif DetSign.ZERO in signs:
-        overall = DetSign.MIXED  # det vanishes identically on one component
-    elif signs == {DetSign.POS}:
-        overall = DetSign.POS
-    elif signs == {DetSign.NEG}:
-        overall = DetSign.NEG
-    else:
-        overall = DetSign.NONZERO
-
-    min_o = min(outcomes, key=lambda o: o.min_value)
-    max_o = max(outcomes, key=lambda o: o.max_value)
-    summary = BoxSummary(
-        atom_order=tuple(names),
-        atom_domains={n: format_interval_entry(infos[n].domain) for n in names},
-        sub_boxes=len(outcomes),
-        vertices_evaluated=sum(o.vertices for o in outcomes),
-        compactified=any(o.compactified for o in outcomes),
-        min_value=min_o.min_value,
-        min_excluded=min_o.min_excluded,
-        max_value=max_o.max_value,
-        max_excluded=max_o.max_excluded,
-        vertex_rows=outcomes[0].vertex_rows if len(outcomes) == 1 else None,
-    )
-    zero = zero_holder.zero if zero_holder is not None else None
-    return overall, summary, zero
+def _point_of_sign(Q: Poly, atoms: Sequence[_BoxAtom], rays: Sequence[_Ray],
+                   found: tuple, sign: int) -> dict[str, Fraction]:
+    """An admissible point where Q has the given sign, from the vertex where
+    the extreme of that sign sits: the w's of the first term of that sign in
+    its table at t, the other w's at 1/t, for t = 2, 4, 8, ...; then off the
+    excluded endpoints."""
+    vertex, excluded, table = found
+    term = next(m for m, c in table.sorted_terms() if c * sign > 0)
+    support = {a for a, _ in term}
+    t = Fraction(2)
+    while True:
+        point = dict(vertex)
+        point.update((r.name, t if r.name in support else 1 / t) for r in rays)
+        if Q.evaluate(point) * sign > 0:
+            break
+        t *= 2
+    if excluded:
+        point = _pull_admissible(Q, atoms, point, sign)
+    return point
 
 
 # ---------------------------------------------------------------------------
@@ -545,19 +451,55 @@ def det_sign_analysis(cls: MatrixClass, caps: Optional[Caps] = None) -> DetAnaly
     view = symbolic_view(cls)
     P = symbolic_determinant(view.grid, caps.monomials)
 
-    if P.is_zero():
-        return DetAnalysis(DetSign.ZERO, "monomial-table", P, view,
-                           table=_build_table(P), zero_assignment={})
+    # atoms absent from P only matter for member construction, not for the sign
+    names = sorted(P.atoms())
+    domains = {n: view.atoms[n].domain for n in names}
+    split_lists = [[(n, piece) for piece in _split_entry(domains[n])] for n in names]
+    vertices = math.prod(sum(2 if _is_bounded(piece) else 1 for _, piece in pieces)
+                         for pieces in split_lists)
+    if vertices > caps.vertices:
+        raise CapExceeded("vertices", vertices, caps.vertices)
+    table_case = all(d == _POSITIVE for d in domains.values())
+    keep_rows = not table_case and vertices <= 64 and all(len(p) == 1 for p in split_lists)
+    outcomes: list[_SubBoxOutcome] = []
+    mixed_seen = False  # the first MIXED sub-box holds the witness
+    for combo in itertools.product(*split_lists):
+        outcome = _analyze_sub_box(P, dict(combo), keep_rows, need_zero=not mixed_seen)
+        mixed_seen = mixed_seen or outcome.sign is DetSign.MIXED
+        outcomes.append(outcome)
 
-    infos = view.atoms
-    if all(infos[a].kind == "positive" for a in P.atoms()):
-        table = _build_table(P)
-        positive = {c > 0 for _, c in table.terms}
-        if len(positive) == 2:
-            return DetAnalysis(DetSign.MIXED, "monomial-table", P, view, table=table,
-                               zero_assignment=_table_zero(P, table))
-        sign = DetSign.POS if True in positive else DetSign.NEG
-        return DetAnalysis(sign, "monomial-table", P, view, table=table)
+    signs = {o.sign for o in outcomes}
+    zero_holder = next((o for o in outcomes if o.sign is DetSign.MIXED), None)
+    if zero_holder is None:
+        zero_holder = next((o for o in outcomes if o.sign is DetSign.ZERO), None)
+    if DetSign.MIXED in signs:
+        sign = DetSign.MIXED
+    elif signs == {DetSign.ZERO}:
+        sign = DetSign.ZERO
+    elif DetSign.ZERO in signs:
+        sign = DetSign.MIXED  # det vanishes identically on one component
+    elif signs == {DetSign.POS}:
+        sign = DetSign.POS
+    elif signs == {DetSign.NEG}:
+        sign = DetSign.NEG
+    else:
+        sign = DetSign.NONZERO
+    zero = zero_holder.zero if zero_holder is not None else None
 
-    sign, summary, zero = _box_analysis(P, infos, caps)
+    if table_case:
+        return DetAnalysis(sign, "monomial-table", P, view, table=_build_table(P),
+                           zero_assignment=zero)
+    min_o = min(outcomes, key=lambda o: o.min_value)
+    max_o = max(outcomes, key=lambda o: o.max_value)
+    summary = BoxSummary(
+        atom_order=tuple(names),
+        atom_domains={n: format_interval_entry(domains[n]) for n in names},
+        sub_boxes=len(outcomes),
+        vertices_evaluated=vertices,
+        min_value=min_o.min_value,
+        min_excluded=min_o.min_excluded,
+        max_value=max_o.max_value,
+        max_excluded=max_o.max_excluded,
+        vertex_rows=outcomes[0].vertex_rows if len(outcomes) == 1 else None,
+    )
     return DetAnalysis(sign, "box", P, view, box=summary, zero_assignment=zero)

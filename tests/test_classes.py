@@ -243,7 +243,7 @@ class TestPoly:
 
     def test_substitute_any_degree(self):
         p = Poly.atom("x") * Poly.atom("x") + Poly.atom("x")  # x^2 + x
-        assert p.substitute("x", F(3)).const_value() == 12
+        assert p.substitute({"x": F(3)}).const_value() == 12
 
     def test_multilinear_flag(self):
         assert (Poly.atom("x") * Poly.atom("y")).is_multilinear()

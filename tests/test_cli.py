@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import injcheck.cli
 from injcheck.classes import Scaled
@@ -190,6 +194,12 @@ class TestClassCommands:
         assert code == 0
         assert "box min -1073/500, max -427/1000" in out
 
+    def test_box_certificate_states_values_of_det(self, capsys):
+        # the extremes are values of det = v1, which ranges over (-inf,-2]
+        code, out, _ = run(capsys, "interval", "--D", "(-inf,-2]")
+        assert code == 0
+        assert "certificate: determinant, sign NEG, box min -inf, max -2" in out
+
     def test_kernel_subspace_spec(self, capsys):
         code, out, _ = run(capsys, "monotonic", "--W", "+ + -;+ + +",
                            "--S", "ker:1 -1 1")
@@ -287,6 +297,43 @@ class TestCrnCommand:
         net.write_text("A + B\n")
         code, _, err = run(capsys, "crn", str(net))
         assert code == 65
+
+
+# Tokens of the interval box format: every shape of entry, then bad
+# literals, empty or reversed intervals, closed infinite ends and broken
+# punctures. Well-formed tokens are drawn more often, so that many grids
+# reach a verdict.
+BOX_TOKENS = (
+    "{0}", "{-1/2}", "[0,1]", "(0,1)", "[-1,2)", "(0,inf)", "[1,inf)", "(-inf,0)",
+    "(-inf,-2]", "(-inf,inf)", "(-1,0)u(0,2)", "(-inf,0)u(0,inf)", "(-inf,0)u(0,1]",
+)
+MALFORMED_BOX_TOKENS = (
+    "{1/0}", "[0,1/0]", "[2,1]", "(1,1)", "[-inf,0]", "(0,inf]", "(0,1", "{}", "x",
+    "(0,1)u(0,2)", "(-1,0)u(1,2)", "[0,0)", "((0,1)", "{1,2}", "inf",
+)
+
+
+@given(st.lists(st.lists(st.sampled_from(BOX_TOKENS * 6 + MALFORMED_BOX_TOKENS),
+                         min_size=1, max_size=3),
+                min_size=1, max_size=3))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_interval_box_fuzz(grid):
+    # any box text ends in a verdict or an input error, never in exit 70, and
+    # every verdict it reaches verifies
+    decided = []
+
+    def deciding(problem, **kwargs):
+        verdict = check_injectivity(problem, **kwargs)
+        decided.append((problem, verdict, kwargs["caps"]))
+        return verdict
+
+    text = ";".join(" ".join(row) for row in grid)
+    with mock.patch.object(injcheck.cli, "check_injectivity", deciding), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run_command(["interval", "--D", text])
+    assert code in (0, 1, 2, 64, 65, 66), text
+    for problem, verdict, caps in decided:
+        assert verify_certificate(verdict, problem, caps=caps), text
 
 
 class TestInstalledEntryPoint:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from injcheck.classes import (
     SignPattern,
     SignSets,
     augment_with_kernel_rep,
+    format_interval_box_text,
     monomial_text,
     parse_interval_box_text,
     parse_signsets_text,
@@ -17,11 +19,11 @@ from injcheck.classes import (
 )
 from injcheck.detroute import (
     DetSign,
-    _build_table,
-    _table_zero,
+    _walk_to_zero,
     det_sign_analysis,
     symbolic_determinant,
 )
+from injcheck.injectivity import Problem, Status, check_injectivity
 from injcheck.limits import Caps, CapExceeded
 from injcheck.linalg import RationalMatrix, Subspace, determinant
 from injcheck.classes import Poly
@@ -66,7 +68,7 @@ class TestMonomialTables:
     def test_table_zero_needs_a_multilinear_determinant(self):
         P = Poly.atom("m1") * Poly.atom("m1") - Poly.atom("m2")
         with pytest.raises(ArithmeticError, match="not multilinear"):
-            _table_zero(P, _build_table(P))
+            _walk_to_zero(P, ["m1", "m2"], {"m1": F(2), "m2": F(1)}, {"m1": F(1), "m2": F(2)})
 
     def test_identically_zero_pattern(self):
         analysis = det_sign_analysis(SignPattern(((1, 1), (0, 0))))
@@ -114,7 +116,6 @@ class TestBoxAnalysis:
         assert analysis.box.min_value == F(-1073, 500)
         assert not analysis.box.max_excluded
         assert not analysis.box.min_excluded
-        assert not analysis.box.compactified
         assert analysis.box.vertices_evaluated == 16
 
     def test_zero_only_at_excluded_vertex_is_positive(self):
@@ -145,7 +146,7 @@ class TestBoxAnalysis:
         D = parse_interval_box_text("(0,inf) (0,inf)\n(0,inf) (0,inf)")
         analysis = det_sign_analysis(Interval(D))
         assert analysis.sign is DetSign.MIXED
-        assert analysis.box.compactified
+        assert analysis.kind == "monomial-table"
         z = analysis.zero_assignment
         assert analysis.poly.evaluate(z) == 0
         assert all(v > 0 for v in z.values())
@@ -170,41 +171,149 @@ class TestBoxAnalysis:
     def test_mixed_witnesses_are_exact_on_random_boxes(self):
         rng = random.Random(11)
         found = 0
-        for _ in range(30):
-            rows = []
-            for _i in range(2):
-                cells = []
-                for _j in range(2):
-                    lo = F(rng.randint(-2, 1))
-                    hi = lo + F(rng.randint(1, 3))
-                    cells.append(f"[{lo},{hi}]")
-                rows.append(" ".join(cells))
-            D = parse_interval_box_text("\n".join(rows))
-            analysis = det_sign_analysis(Interval(D))
+        for k in range(200):
+            n = rng.randint(1, 3)
+            cls = Interval(_random_box(rng, n, n, TOKENS))
+            if k % 4 == 0:  # a quarter behind positive scalings
+                B = M(*[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+                cls = Product(cls, Scaled(B))
+            analysis = det_sign_analysis(cls)
+            domains = {a: info.domain for a, info in analysis.view.atoms.items()}
             if analysis.sign is DetSign.MIXED:
                 found += 1
                 z = analysis.zero_assignment
                 assert z is not None
                 assert analysis.poly.evaluate(z) == 0
                 for name, value in z.items():
-                    assert analysis.view.atoms[name].domain.contains(value)
-            elif analysis.sign in (DetSign.POS, DetSign.NEG):
-                want = 1 if analysis.sign is DetSign.POS else -1
-                for _ in range(10):
-                    env = {a: _point_inside(analysis.view.atoms[a].domain, rng)
-                           for a in analysis.view.atoms}
-                    value = analysis.poly.evaluate(env)
-                    assert (value > 0) == (want > 0) and value != 0
-        assert found >= 5  # the sample must actually exercise the witness path
+                    assert domains[name].contains(value)
+                continue
+            for _ in range(10):
+                value = analysis.poly.evaluate(_member(domains, rng))
+                if analysis.sign is DetSign.POS:
+                    assert value > 0
+                elif analysis.sign is DetSign.NEG:
+                    assert value < 0
+                elif analysis.sign is DetSign.NONZERO:
+                    assert value != 0
+                else:
+                    assert value == 0
+        assert found >= 50  # the sample must actually exercise the witness path
+
+    def test_box_certificates_are_in_entry_coordinates(self):
+        # every box made of half-lines, with bounded entries and points
+        # among them: vertex rows stay inside the closed entry domains, and
+        # the stated extremes bound det at sampled members
+        rng = random.Random(1212)
+        unbounded = 0
+        for _ in range(120):
+            n = rng.randint(1, 3)
+            D = _random_box(rng, n, n, HALF_LINES * 3 + POINTS + BOUNDED)
+            analysis = det_sign_analysis(Interval(D))
+            if analysis.kind == "monomial-table":
+                continue
+            box = analysis.box
+            domains = {a: info.domain for a, info in analysis.view.atoms.items()}
+            for row in box.to_payload().get("vertices", []):
+                for name, text in row["assignment"].items():
+                    value, e = F(text), domains[name]
+                    assert e.lower is None or value >= e.lower
+                    assert e.upper is None or value <= e.upper
+                fixed = {a: F(v) for a, v in row["assignment"].items()}
+                assert row["value"] == str(analysis.poly.substitute(fixed))
+            for _ in range(10):
+                value = analysis.poly.evaluate(_member(domains, rng))
+                assert box.min_value <= value <= box.max_value
+            unbounded += box.min_value == -math.inf or box.max_value == math.inf
+        assert unbounded >= 50
+
+    @pytest.mark.parametrize("text, sign, value, extremes, excluded", [
+        # det = v1 ranges over (-inf,-2]: unbounded below, -2 at the anchor
+        ("(-inf,-2]", DetSign.NEG, "v1", ("-inf", "-2"), (True, False)),
+        # det = v1*v2 with v1 >= 1 and v2 > 0 tends to 0 only as v2 does
+        ("[1,inf) {1}\n{0} (0,inf)", DetSign.POS, "v1*v2", ("0", "inf"), (True, True)),
+    ])
+    def test_half_line_certificates_state_values_of_det(self, text, sign, value,
+                                                         extremes, excluded):
+        analysis = det_sign_analysis(Interval(parse_interval_box_text(text)))
+        assert analysis.sign is sign
+        payload = analysis.box.to_payload()
+        assert (payload["min_value"], payload["max_value"]) == extremes
+        assert (payload["min_at_excluded_vertex_only"],
+                payload["max_at_excluded_vertex_only"]) == excluded
+        # no bounded atom: one vertex row, det as a polynomial in the half-lines
+        assert payload["vertices"] == [{"assignment": {}, "value": value, "excluded": False}]
+
+
+# One token of every shape the box format has: points; bounded entries, open
+# and closed; half-lines anchored at 0 and elsewhere, open and closed at the
+# anchor; the whole line; punctured entries, bounded and unbounded.
+POINTS = ("{0}", "{1}", "{-2}", "{1/2}")
+BOUNDED = ("[0,1]", "(0,1)", "[-1,2)", "(-2,-1]", "[1,3]")
+HALF_LINES = ("(0,inf)", "[0,inf)", "[1,inf)", "(-1,inf)",
+              "(-inf,0)", "(-inf,0]", "(-inf,-2]", "(-inf,1)")
+SPLIT = ("(-inf,inf)", "(-1,0)u(0,2)", "(-inf,0)u(0,inf)", "(-inf,0)u(0,1]")
+TOKENS = POINTS + BOUNDED + HALF_LINES + SPLIT
+
+
+def _random_box(rng, rows, cols, tokens):
+    return parse_interval_box_text("\n".join(
+        " ".join(rng.choice(tokens) for _ in range(cols)) for _ in range(rows)))
+
+
+def _random_subspace(rng, n, dim):
+    while True:
+        basis = M(*[[rng.randint(-2, 2) for _ in range(dim)] for _ in range(n)])
+        S = Subspace.from_image(basis)
+        if S.dim == dim:
+            return S
 
 
 def _point_inside(entry, rng):
-    lo = entry.lower if entry.lower is not None else F(-5)
-    hi = entry.upper if entry.upper is not None else F(5)
-    if lo == hi:
-        return lo
-    t = F(rng.randint(1, 15), 16)
-    return lo + (hi - lo) * t
+    """A random member of an entry domain, reaching up to 64 past a finite end
+    on an unbounded side."""
+    while True:
+        reach = F(rng.choice((1, 4, 64)))
+        lo = entry.lower if entry.lower is not None else min(entry.upper, 0) - reach \
+            if entry.upper is not None else -reach
+        hi = entry.upper if entry.upper is not None else max(entry.lower, 0) + reach \
+            if entry.lower is not None else reach
+        if lo == hi:
+            return lo
+        value = lo + (hi - lo) * F(rng.randint(0, 16), 16)
+        if entry.contains(value):
+            return value
+
+
+def _member(domains, rng):
+    return {a: _point_inside(e, rng) for a, e in domains.items()}
+
+
+class TestRouteAgreement:
+    def test_det_and_sign_routes_agree_on_random_boxes(self):
+        # the sign sweep decides an interval class by exact LPs, independently
+        # of the determinant; both must agree, and every determinant zero
+        # must be exact and admissible
+        rng = random.Random(3003)
+        statuses = []
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            dim = n if rng.random() < 0.5 else rng.randint(1, n)
+            S = Subspace.full(n) if dim == n else _random_subspace(rng, n, dim)
+            D = _random_box(rng, dim, n, TOKENS)
+            problem = Problem(Interval(D), S)
+            via_det = check_injectivity(problem, route="det")
+            via_sign = check_injectivity(problem, route="sign")
+            assert via_det.status is via_sign.status, format_interval_box_text(D)
+            assert via_det.status is not Status.INCONCLUSIVE
+            statuses.append(via_det.status)
+            analysis = det_sign_analysis(augment_with_kernel_rep(S, Interval(D)))
+            if analysis.sign is DetSign.MIXED:
+                z = analysis.zero_assignment
+                assert analysis.poly.evaluate(z) == 0
+                for name, value in z.items():
+                    assert analysis.view.atoms[name].domain.contains(value)
+        assert statuses.count(Status.INJECTIVE) >= 30
+        assert statuses.count(Status.NOT_INJECTIVE) >= 100
 
 
 class TestSymbolicDeterminant:
@@ -229,6 +338,44 @@ class TestSymbolicDeterminant:
         with pytest.raises(CapExceeded) as err:
             det_sign_analysis(Interval(D), Caps(vertices=8))
         assert err.value.cap_name == "vertices"
+
+
+class TestHalfLineWork:
+    """Deterministic work on boxes of half-lines: only bounded atoms are
+    vertices, and a box of open positive half-lines is a monomial table."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_open_orthant_is_a_monomial_table(self, n):
+        verdict = _decide_uniform_box("(0,inf)", n)
+        assert verdict.status is Status.NOT_INJECTIVE
+        assert verdict.diagnostics["det_kind"] == "monomial-table"
+
+    def test_whole_lines_take_one_vertex_per_sub_box(self):
+        analysis = det_sign_analysis(Interval(_uniform_box("(-inf,inf)", 3)))
+        assert analysis.sign is DetSign.MIXED
+        assert (analysis.box.sub_boxes, analysis.box.vertices_evaluated) == (512, 512)
+        assert _decide_uniform_box("(-inf,inf)", 3).status is Status.NOT_INJECTIVE
+
+    @pytest.mark.parametrize("token", ["[0,inf)", "[1,inf)", "(-inf,0)"])
+    def test_half_line_box_is_one_vertex(self, token):
+        analysis = det_sign_analysis(Interval(_uniform_box(token, 3)))
+        assert (analysis.box.sub_boxes, analysis.box.vertices_evaluated) == (1, 1)
+        assert _decide_uniform_box(token, 3).status is Status.NOT_INJECTIVE
+
+    def test_half_line_box_decides_under_one_vertex(self):
+        D = parse_interval_box_text("[0,inf) (-inf,1]\n(0,inf) [2,inf)")
+        verdict = check_injectivity(Problem(Interval(D), Subspace.full(2)),
+                                    caps=Caps(vertices=1), route="det")
+        assert verdict.status is Status.NOT_INJECTIVE
+
+
+def _uniform_box(token, n):
+    return parse_interval_box_text("\n".join(" ".join([token] * n) for _ in range(n)))
+
+
+def _decide_uniform_box(token, n):
+    problem = Problem(Interval(_uniform_box(token, n)), Subspace.full(n))
+    return check_injectivity(problem, route="det")
 
 
 class TestDeterminism:
