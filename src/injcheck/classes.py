@@ -247,10 +247,6 @@ def d_of_signsets(W: SignSetMatrix) -> IntervalBox:
     return IntervalBox(tuple(tuple(table[s] for s in row) for row in W.entries))
 
 
-def signsets_of_box(D: IntervalBox) -> SignSetMatrix:
-    return SignSetMatrix(tuple(tuple(e.sign_set() for e in row) for row in D.entries))
-
-
 # ---------------------------------------------------------------------------
 # matrix classes
 

@@ -34,8 +34,6 @@ from .classes import (
     Interval,
     Scaled,
     SignSets,
-    format_interval_box_text,
-    format_signsets_text,
     parse_interval_box_text,
     parse_signsets_text,
 )
@@ -209,6 +207,8 @@ def _witness_lines(w: SingularWitness) -> list[str]:
         lines.append("  x: " + "  ".join(repr(v) for v in w.monomial_lift["x"]))
         lines.append("  y: " + "  ".join(repr(v) for v in w.monomial_lift["y"]))
         lines.append(f"  max residual: {w.monomial_lift['max_residual']:.3e}")
+    elif w.lift_omitted is not None:
+        lines.append(f"colliding points: omitted ({w.lift_omitted})")
     return lines
 
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .classes import Scaled, SignSets, SignSetMatrix
 from .injectivity import Problem
-from .linalg import RationalMatrix, Subspace
+from .linalg import RationalMatrix, Subspace, parse_rational_token
 from .signs import SignSet, format_sign_set, parse_sign_set
 
 _ZERO = Fraction(0)
@@ -122,13 +122,6 @@ class Network:
              for s in self.species],
         )
 
-    def reactant_matrix(self) -> RationalMatrix:
-        """Kinetic orders of mass action: one row per reaction."""
-        return RationalMatrix(
-            self.n_reactions, self.n_species,
-            [[r.reactant_coeff(s) for s in self.species] for r in self.reactions],
-        )
-
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
 _TERM = re.compile(r"^\s*(?:(\d+(?:/\d+)?)\s*)?([A-Za-z_][A-Za-z_0-9]*)\s*$")
@@ -143,7 +136,10 @@ def _parse_side(text: str, lineno: int) -> tuple[tuple[str, Fraction], ...]:
         m = _TERM.match(piece)
         if not m:
             raise NetworkTextError(lineno, f"cannot read species term {piece.strip()!r}")
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        try:
+            coeff = parse_rational_token(m.group(1)) if m.group(1) else Fraction(1)
+        except ValueError as exc:
+            raise NetworkTextError(lineno, str(exc)) from None
         if coeff <= 0:
             raise NetworkTextError(lineno, "stoichiometric coefficients must be positive")
         name = m.group(2)
@@ -212,7 +208,7 @@ def parse_network(text: str) -> Network:
             clause = parts[arrow_at + 1].strip()
             if not clause.startswith("orders"):
                 raise NetworkTextError(lineno, "trailing clause must start with 'orders'")
-            orders = tuple(_parse_assignments(clause[len("orders"):], lineno, Fraction))
+            orders = tuple(_parse_assignments(clause[len("orders"):], lineno, parse_rational_token))
         body = parts[arrow_at]
         reversible = "<->" in body
         lhs, _, rhs = body.partition("<->" if reversible else "->")

@@ -11,7 +11,8 @@ but it divides each updated row by the gcd of its entries instead of by the
 previous pivot. Each row of ints is a positive multiple of the row of the
 rational tableau. A positive factor changes no sign and no ratio, so every
 entering and leaving choice, and the returned point, are those of the
-rational simplex exactly.
+rational simplex exactly. The rows start as `linalg.integer_row` scales them,
+as the rows of every exact elimination in `linalg` do.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import RationalMatrix, rat_vector
+from .linalg import RationalMatrix, integer_row, rat_vector
 from .signs import SignVector
 
 _ZERO = Fraction(0)
@@ -57,8 +58,7 @@ def _phase1(D: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fractio
     for i in range(m):
         row = list(D[i]) + [_ZERO] * m + [b[i]]
         row[n + i] = _ONE
-        scale = math.lcm(*(v.denominator for v in row))
-        T.append(_primitive([v.numerator * (scale // v.denominator) for v in row]))
+        T.append(_primitive(integer_row(row)[0]))
     basis = list(range(n, total))
     # reduced costs, times L: cost 1 on artificials, 0 elsewhere
     lcm = math.lcm(*(T[i][n + i] for i in range(m)))

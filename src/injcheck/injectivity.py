@@ -27,8 +27,10 @@ first step that returns a verdict decides:
 NOT_INJECTIVE always carries a SingularWitness: an exact class member (with
 its membership evidence) and an exact z in S \\ {0} it kills, plus, for scaled
 classes, a floating-point lift to a colliding point pair of the corresponding
-generalized monomial map. INJECTIVE carries the positivity data of the route
-that proved it. Both are rechecked by verify_certificate.
+generalized monomial map. Where floats cannot form a lift within the 1e-9
+tolerance, the lift is left out and diagnostics["monomial_lift_omitted"] says
+why. INJECTIVE carries the positivity data of the route that proved it. Both
+are rechecked by verify_certificate.
 """
 
 from __future__ import annotations
@@ -101,6 +103,7 @@ class SingularWitness:
     tau: Optional[SignVector] = None
     rho: Optional[SignVector] = None
     monomial_lift: Optional[dict] = None
+    lift_omitted: Optional[str] = None  # why floats gave no lift; not in the payload
 
     def to_payload(self) -> dict:
         out = {
@@ -238,6 +241,9 @@ def _log_monomial_image(B: RationalMatrix, point: Sequence[float]) -> list[float
     return [sum(float(B.at(i, j)) * logs[j] for j in range(B.cols)) for i in range(B.rows)]
 
 
+_LIFT_TOL = 1e-9  # the default tolerance of verify_certificate
+
+
 def _relative_gap(la: float, lb: float) -> float:
     """|a - b| / max(|a|, |b|, 1) for a = e^la, b = e^lb. Where e^la or e^lb
     overflows, the max is above 1 and the gap is -expm1(-|la - lb|)."""
@@ -308,6 +314,30 @@ def _build_monomial_lift(B: RationalMatrix, v, w, kappa, z,
     }
 
 
+def _lift_fault(lift: dict, tol: float) -> Optional[str]:
+    """None when the lift meets tol, else what is wrong with it."""
+    if not lift["max_residual"] <= tol:
+        return f"lift residual {lift['max_residual']} above tolerance"
+    if any(x <= 0 for x in lift["x"]) or any(y <= 0 for y in lift["y"]):
+        return "lift points are not positive"
+    if all(abs(a - b) <= tol * max(abs(a), abs(b), 1.0)
+           for a, b in zip(lift["x"], lift["y"])):
+        return "lift points coincide"
+    return None
+
+
+def _monomial_lift(B: RationalMatrix, v, w, kappa, z,
+                   A: Optional[RationalMatrix]) -> tuple[Optional[dict], Optional[str]]:
+    """(lift, None), or (None, why) when floats cannot form a lift that meets
+    the tolerance of verify_certificate. The exact witness stands either way."""
+    try:
+        lift = _build_monomial_lift(B, v, w, kappa, z, A)
+    except ArithmeticError as exc:  # float overflow, underflow to 0, or a lift off the orthant
+        return None, f"{type(exc).__name__}: {exc}"
+    fault = _lift_fault(lift, _LIFT_TOL)
+    return (None, fault) if fault else (lift, None)
+
+
 # ---------------------------------------------------------------------------
 # witness assembly
 
@@ -323,11 +353,11 @@ def _witness_from_hit(A: Optional[RationalMatrix], hit: SignRouteHit) -> Singula
     eff = _fold_left(A, hit.member)
     if any(v != 0 for v in eff.matrix.apply(hit.z)):
         raise ArithmeticError("sign-route witness does not kill z")
-    lift = None
+    lift = omitted = None
     if hit.lift_data is not None:
         B, v, w = hit.lift_data
-        lift = _build_monomial_lift(B, v, w, hit.member.kappa, hit.z, A)
-    return SingularWitness(eff, hit.z, hit.tau, hit.rho, lift)
+        lift, omitted = _monomial_lift(B, v, w, hit.member.kappa, hit.z, A)
+    return SingularWitness(eff, hit.z, hit.tau, hit.rho, lift, omitted)
 
 
 def witness_from_aug_member(A: Optional[RationalMatrix], cls: MatrixClass,
@@ -339,15 +369,15 @@ def witness_from_aug_member(A: Optional[RationalMatrix], cls: MatrixClass,
     if K.cols == 0:
         raise ArithmeticError("augmented member is nonsingular")
     z = K.col(0)
-    lift = None
+    lift = omitted = None
     inner = eff_member
     if A is not None and inner.kind == "product" and inner.factors:
         inner = inner.factors[-1]
     if isinstance(cls, Scaled) and inner.kind == "scaled":
         lam = inner.lam or tuple([_ONE] * cls.B.cols)
         v = tuple(l * zi for l, zi in zip(lam, z))
-        lift = _build_monomial_lift(cls.B, v, z, inner.kappa, z, A)
-    return SingularWitness(eff_member, tuple(z), sigma(z), None, lift)
+        lift, omitted = _monomial_lift(cls.B, v, z, inner.kappa, z, A)
+    return SingularWitness(eff_member, tuple(z), sigma(z), None, lift, omitted)
 
 
 def _witness_from_assignment(A: Optional[RationalMatrix], cls: MatrixClass,
@@ -406,28 +436,25 @@ def _check_witness(problem: Problem, witness: SingularWitness, tol: float) -> Op
         return f"membership not checkable: {exc}"
     if any(v != 0 for v in eff.matrix.apply(z)):
         return "member does not kill z"
-    lift = witness.monomial_lift
-    if lift is not None:
-        if lift["max_residual"] > tol:
-            return f"lift residual {lift['max_residual']} above tolerance"
-        if any(x <= 0 for x in lift["x"]) or any(y <= 0 for y in lift["y"]):
-            return "lift points are not positive"
-        if all(abs(a - b) <= tol * max(abs(a), abs(b), 1.0)
-               for a, b in zip(lift["x"], lift["y"])):
-            return "lift points coincide"
+    if witness.monomial_lift is not None:
+        return _lift_fault(witness.monomial_lift, tol)
     return None
 
 
-def _require_witness(problem: Problem, witness: SingularWitness, source: str) -> None:
+def _require_witness(problem: Problem, witness: SingularWitness, source: str,
+                     diagnostics: Optional[dict] = None) -> None:
     """Raise unless a witness this package built passes verify_certificate's
-    checks: a witness that fails them is a fault of the checker."""
-    reason = _check_witness(problem, witness, tol=1e-9)
+    checks: a witness that fails them is a fault of the checker. A lift left
+    out is noted in diagnostics."""
+    reason = _check_witness(problem, witness, tol=_LIFT_TOL)
     if reason is not None:
         raise ArithmeticError(f"{source} failed its own check: {reason}")
+    if witness.lift_omitted is not None and diagnostics is not None:
+        diagnostics["monomial_lift_omitted"] = witness.lift_omitted
 
 
 def verify_certificate(verdict: Verdict, problem: Problem,
-                       caps: Optional[Caps] = None, tol: float = 1e-9) -> bool:
+                       caps: Optional[Caps] = None, tol: float = _LIFT_TOL) -> bool:
     """Recheck what the verdict claims.
 
     NOT_INJECTIVE: exact witness recheck (membership with evidence, z in
@@ -493,7 +520,7 @@ def _det_step(run: _Run) -> Optional[Verdict]:
         return Verdict(Status.INJECTIVE, Route.DET, cert, diagnostics)
     # ZERO or MIXED: the analysis carries an exact zero
     witness = _witness_from_assignment(run.A, run.cls, analysis)
-    _require_witness(run.problem, witness, "determinant witness")
+    _require_witness(run.problem, witness, "determinant witness", diagnostics)
     return Verdict(Status.NOT_INJECTIVE, Route.DET, witness, diagnostics)
 
 
@@ -521,7 +548,7 @@ def _sign_step(run: _Run) -> Optional[Verdict]:
         cert = _sweep_certificate(S, srr.diagnostics, run.caps)
         return Verdict(Status.INJECTIVE, Route.SIGN, cert, diagnostics)
     witness = _witness_from_hit(run.A, srr.hit)
-    _require_witness(run.problem, witness, "sign-route witness")
+    _require_witness(run.problem, witness, "sign-route witness", diagnostics)
     return Verdict(Status.NOT_INJECTIVE, Route.SIGN, witness, diagnostics)
 
 

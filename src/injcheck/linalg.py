@@ -1,7 +1,13 @@
 """Exact rational matrices, kernels, determinants and subspaces.
 
-Everything in this module is exact: entries are `fractions.Fraction` values and
-every elimination pivots rationally. Floating point never enters here.
+Everything in this module is exact: entries are `fractions.Fraction` values,
+and floating point never enters here. Ranks, row bases, kernels and
+determinants all come from one fraction-free Gauss-Jordan pass (Bareiss,
+Math. Comp. 22, 1968) over int rows: each rational row is scaled by the lcm of
+its denominators, and every update is (p*row - f*lead) // prev with p the new
+pivot and prev the one before it. Each entry after a step is a minor of the
+scaled input (Sylvester's identity), so the floor division is exact, and the
+pivot rows end as d times the reduced row echelon form, d the last pivot.
 
 Matrix text format (used by the CLI and the test fixtures): one row per line,
 entries separated by whitespace. An entry is an integer (`-3`), a fraction
@@ -11,6 +17,7 @@ a binary float). Blank lines and `#` comments are ignored.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -65,10 +72,6 @@ class RationalMatrix:
         else:
             raise ValueError("cannot infer column count of an empty matrix; pass cols=")
         return cls(len(rows), ncols, rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -140,43 +143,60 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
 
-def _rref(data: Sequence[Sequence[Fraction]], rows: int, cols: int):
-    """Reduced row echelon form. Returns (new rows, pivot column list)."""
-    work = [list(r) for r in data]
+def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(s * row as ints, s), with s the lcm of the row's denominators."""
+    scale = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) for v in row], scale
+
+
+def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of int rows, in place.
+
+    Returns (pivot columns, d, sign). Every row off the pivot row becomes
+    (p*row - f*lead) // prev, with p the pivot, f the row's entry in the pivot
+    column and prev the pivot before it (1 at the start). Each entry is then a
+    minor of the row-permuted input, so the division is exact. At the end the
+    pivot rows are d times the reduced row echelon form, d = the last pivot
+    (1 when there is none), and sign is the parity of the row swaps; when
+    every column is a pivot column, sign * d is the determinant.
+    """
+    rows = len(work)
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
+    prev, sign = 1, 1
+    for c in range(len(work[0]) if rows else 0):
+        r = len(pivots)
         if r == rows:
             break
-        pivot_row = next((i for i in range(r, rows) if work[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, rows) if work[i][c]), None)
         if pivot_row is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [v * inv for v in work[r]]
+        if pivot_row != r:
+            work[r], work[pivot_row] = work[pivot_row], work[r]
+            sign = -sign
         lead = work[r]
+        p = lead[c]
         for i in range(rows):
-            if i != r and work[i][c] != 0:
+            if i != r:
                 f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], lead)]
+                work[i] = [(p * a - f * b) // prev for a, b in zip(work[i], lead)]
+        prev = p
         pivots.append(c)
-        r += 1
-    return work, pivots
+    return pivots, prev, sign
 
 
-def rref(M: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    work, pivots = _rref(M.data, M.rows, M.cols)
-    return RationalMatrix(M.rows, M.cols, work), tuple(pivots)
-
-
-def rank(M: RationalMatrix) -> int:
-    return len(_rref(M.data, M.rows, M.cols)[1])
+def _reduced(M: RationalMatrix) -> tuple[list[list[int]], list[int], int]:
+    """(rows, pivot columns, d): the first len(pivots) rows are d * rref(M)."""
+    work = [integer_row(row)[0] for row in M.data]
+    pivots, d, _ = _eliminate(work)
+    return work, pivots, d
 
 
 def row_basis(M: RationalMatrix) -> RationalMatrix:
-    """Full-row-rank matrix with the same row space as M."""
-    work, pivots = _rref(M.data, M.rows, M.cols)
-    return RationalMatrix(len(pivots), M.cols, work[: len(pivots)])
+    """Full-row-rank matrix with the same row space as M: the nonzero rows of
+    its reduced row echelon form."""
+    work, pivots, d = _reduced(M)
+    return RationalMatrix(len(pivots), M.cols,
+                          [[Fraction(v, d) for v in work[i]] for i in range(len(pivots))])
 
 
 def kernel_basis(M: RationalMatrix) -> RationalMatrix:
@@ -186,7 +206,7 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
     coordinate is 1, pivot coordinates are the negated reduced entries, other
     free coordinates 0. k = n - rank(M); k = 0 gives an n x 0 matrix.
     """
-    work, pivots = _rref(M.data, M.rows, M.cols)
+    work, pivots, d = _reduced(M)
     n = M.cols
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
@@ -195,7 +215,7 @@ def kernel_basis(M: RationalMatrix) -> RationalMatrix:
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -work[i][f]
+            v[p] = Fraction(-work[i][f], d)
         cols.append(v)
     return RationalMatrix(n, len(free), [[cols[k][i] for k in range(len(free))] for i in range(n)])
 
@@ -210,42 +230,18 @@ def kernel_rep_of_image(V: RationalMatrix) -> RationalMatrix:
 
 
 def determinant(M: RationalMatrix) -> Fraction:
+    """sign * d over the product of the row scales, or 0 below full rank."""
     if M.rows != M.cols:
         raise ValueError(f"determinant of non-square {M.shape} matrix")
-    n = M.rows
-    work = [list(r) for r in M.data]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            det = -det
-        piv = work[c][c]
-        det *= piv
-        inv = Fraction(1) / piv
-        lead = work[c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [a - f * b for a, b in zip(work[i], lead)]
-    return det
-
-
-def solve_linear(M: RationalMatrix, b: Sequence) -> Optional[tuple[Fraction, ...]]:
-    """One exact solution of Mx = b (free variables 0), or None if inconsistent."""
-    bvec = rat_vector(b)
-    if len(bvec) != M.rows:
-        raise ValueError("right-hand side length mismatch")
-    aug = [list(row) + [bvec[i]] for i, row in enumerate(M.data)]
-    work, pivots = _rref(aug, M.rows, M.cols + 1)
-    if M.cols in pivots:
-        return None
-    x = [Fraction(0)] * M.cols
-    for i, p in enumerate(pivots):
-        x[p] = work[i][M.cols]
-    return tuple(x)
+    work, scale = [], 1
+    for row in M.data:
+        ints, s = integer_row(row)
+        work.append(ints)
+        scale *= s
+    pivots, d, sign = _eliminate(work)
+    if len(pivots) < M.rows:
+        return Fraction(0)
+    return Fraction(sign * d, scale)
 
 
 class Subspace:
@@ -310,13 +306,6 @@ class Subspace:
         if len(vec) != self.n:
             raise ValueError("vector length mismatch")
         return all(x == 0 for x in self.kernel_rep().apply(vec))
-
-    def same_space(self, other: "Subspace") -> bool:
-        if self.n != other.n or self.dim != other.dim:
-            return False
-        Z = other.kernel_rep()
-        V = self.image_basis()
-        return Z.matmul(V).is_zero()
 
     def __repr__(self) -> str:
         return f"Subspace(n={self.n}, dim={self.dim})"

@@ -1,8 +1,6 @@
-"""Sign vectors, the sign partial order, and sign-set rows.
+"""Sign vectors, sign orthogonality, and sign-set rows.
 
-Signs are the ints -1, 0, +1. The partial order puts 0 below both nonzero
-signs and leaves - and + incomparable, so tau <= rho componentwise means every
-nonzero coordinate of tau survives with the same sign in rho.
+Signs are the ints -1, 0, +1.
 
 Two sign vectors are orthogonal when their coordinatewise products are either
 all zero or include both a -1 and a +1; this is exactly the condition for two
@@ -12,8 +10,7 @@ real vectors with those sign patterns to admit a zero inner product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import FrozenSet, Iterable, Optional, Sequence
+from typing import FrozenSet, Optional, Sequence
 
 Sign = int  # -1, 0, +1
 
@@ -54,13 +51,6 @@ class SignVector:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def from_text(cls, text: str) -> "SignVector":
-        try:
-            return cls(tuple(_SIGN_OF_CHAR[c] for c in text.strip()))
-        except KeyError as exc:
-            raise ValueError(f"bad sign character {exc.args[0]!r} in {text!r}") from None
-
-    @classmethod
     def zero(cls, n: int) -> "SignVector":
         return cls((0,) * n)
 
@@ -97,14 +87,6 @@ def _entries(v) -> tuple[Sign, ...]:
     return tuple(_check_sign(int(s)) for s in v)
 
 
-def sign_leq(tau, rho) -> bool:
-    """tau <= rho in the product order with 0 < - and 0 < +."""
-    a, b = _entries(tau), _entries(rho)
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return all(s == 0 or s == t for s, t in zip(a, b))
-
-
 def sign_orthogonal(tau, rho) -> bool:
     """Can vectors with these sign patterns have zero inner product?"""
     a, b = _entries(tau), _entries(rho)
@@ -131,18 +113,14 @@ _TOKEN_OF_SET = {
     frozenset({-1, 1}): "-+",
     frozenset({-1, 0, 1}): "*",
 }
-_SET_OF_TOKEN = {tok: s for s, tok in _TOKEN_OF_SET.items() if tok != "!"}
-
-
-_CHAR_SIGNS = {"-": -1, "0": 0, "+": 1}
 
 
 def parse_sign_set(token: str) -> SignSet:
     """Canonical tokens are 0 - + -0 0+ -+ *, but any character order works."""
     if token == "*":
         return frozenset({-1, 0, 1})
-    if token and all(c in _CHAR_SIGNS for c in token) and len(set(token)) == len(token):
-        return frozenset(_CHAR_SIGNS[c] for c in token)
+    if token and all(c in _SIGN_OF_CHAR for c in token) and len(set(token)) == len(token):
+        return frozenset(_SIGN_OF_CHAR[c] for c in token)
     raise ValueError(
         f"bad sign-set token {token!r} (expected one of 0 - + -0 0+ -+ *)"
     )
@@ -153,17 +131,6 @@ def format_sign_set(s: SignSet) -> str:
         return _TOKEN_OF_SET[frozenset(s)]
     except KeyError:
         raise ValueError(f"not a sign set: {s!r}") from None
-
-
-ALL_SIGN_SETS: tuple[SignSet, ...] = (
-    frozenset({0}),
-    frozenset({-1}),
-    frozenset({1}),
-    frozenset({-1, 0}),
-    frozenset({0, 1}),
-    frozenset({-1, 1}),
-    frozenset({-1, 0, 1}),
-)
 
 
 def _achievable_products(w_i: SignSet, rho_i: Sign) -> frozenset:
@@ -228,13 +195,3 @@ def signset_row_orthogonal_witness(w_row: Sequence[SignSet], rho) -> Optional[Si
                     out.append(sorted(w)[0])
             return SignVector(tuple(out))
     return None
-
-
-def all_sign_vectors(n: int, include_zero: bool = False) -> Iterable[SignVector]:
-    """All sign vectors of length n in lexicographic order (-1 < 0 < +1)."""
-    import itertools
-
-    for combo in itertools.product((-1, 0, 1), repeat=n):
-        if not include_zero and all(s == 0 for s in combo):
-            continue
-        yield SignVector(combo)

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own combinatorial shortcuts: sign-set
 concordance is re-decided with one exact feasibility problem per row, and
 subspace sign vectors are re-enumerated by solving one feasibility problem
-per candidate.  Slow, but a second opinion.  The rational phase-1 simplex is
-kept here as the reference for the integer tableau the library pivots.
+per candidate.  Slow, but a second opinion.  The rational phase-1 simplex and
+the rational eliminations are kept here as the references for the integer
+tableau and the fraction-free elimination the library runs.
 """
 
 import itertools
@@ -13,7 +14,24 @@ from fractions import Fraction
 from injcheck.classes import SignSetMatrix
 from injcheck.feasibility import strict_sign_feasible
 from injcheck.linalg import RationalMatrix, Subspace
-from injcheck.signs import all_sign_vectors
+from injcheck.signs import SignVector
+
+ALL_SIGN_SETS = (
+    frozenset({0}),
+    frozenset({-1}),
+    frozenset({1}),
+    frozenset({-1, 0}),
+    frozenset({0, 1}),
+    frozenset({-1, 1}),
+    frozenset({-1, 0, 1}),
+)
+
+
+def all_sign_vectors(n, include_zero=False):
+    """All sign vectors of length n in lexicographic order (-1 < 0 < +1)."""
+    for combo in itertools.product((-1, 0, 1), repeat=n):
+        if include_zero or any(combo):
+            yield SignVector(combo)
 
 
 def lp_concordant(rho, tau, W: SignSetMatrix) -> bool:
@@ -107,3 +125,52 @@ def fraction_phase1(D, b):
         if bv < n:
             y[bv] = T[i][total]
     return y
+
+
+def fraction_rref(data, rows, cols):
+    """Reduced row echelon form pivoted over Fraction: (rows, pivot columns).
+    The reference for the fraction-free elimination of `injcheck.linalg`."""
+    work = [list(r) for r in data]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = Fraction(1) / work[r][c]
+        work[r] = [v * inv for v in work[r]]
+        lead = work[r]
+        for i in range(rows):
+            if i != r and work[i][c] != 0:
+                f = work[i][c]
+                work[i] = [a - f * b for a, b in zip(work[i], lead)]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def fraction_determinant(M):
+    """Determinant by Gaussian elimination over Fraction, the reference for
+    `injcheck.linalg.determinant`."""
+    n = M.rows
+    work = [list(r) for r in M.data]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            det = -det
+        piv = work[c][c]
+        det *= piv
+        inv = Fraction(1) / piv
+        lead = work[c]
+        for i in range(c + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] * inv
+                work[i] = [a - f * b for a, b in zip(work[i], lead)]
+    return det

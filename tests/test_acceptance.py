@@ -39,10 +39,10 @@ from injcheck.injectivity import (
 )
 from injcheck.linalg import RationalMatrix, Subspace, kernel_basis
 from injcheck.oracle import OracleConfig, falsify
-from injcheck.signs import ALL_SIGN_SETS, all_sign_vectors, sign_of, sign_orthogonal
+from injcheck.signs import sign_of, sign_orthogonal
 from injcheck.signroute import concordant_pair
 
-from oracles import lp_concordant
+from oracles import ALL_SIGN_SETS, all_sign_vectors, lp_concordant
 
 F = Fraction
 

@@ -298,6 +298,14 @@ class TestCrnCommand:
         code, _, err = run(capsys, "crn", str(net))
         assert code == 65
 
+    @pytest.mark.parametrize("text", ["1/0 A -> B\n", "A + B -> C : orders A=1/0 B=1\n"])
+    def test_zero_denominator_is_an_input_error(self, capsys, tmp_path, text):
+        net = tmp_path / "net.txt"
+        net.write_text("A -> B\n" + text)
+        code, _, err = run(capsys, "crn", str(net))
+        assert code == 65
+        assert "input error: line 2:" in err
+
 
 # Tokens of the interval box format: every shape of entry, then bad
 # literals, empty or reversed intervals, closed infinite ends and broken
@@ -313,13 +321,10 @@ MALFORMED_BOX_TOKENS = (
 )
 
 
-@given(st.lists(st.lists(st.sampled_from(BOX_TOKENS * 6 + MALFORMED_BOX_TOKENS),
-                         min_size=1, max_size=3),
-                min_size=1, max_size=3))
-@settings(derandomize=True, deadline=None, max_examples=300)
-def test_interval_box_fuzz(grid):
-    # any box text ends in a verdict or an input error, never in exit 70, and
-    # every verdict it reaches verifies
+def verified_exit(argv):
+    """Run the CLI and check that it ends in a verdict or an input error,
+    never in exit 70, and that every verdict it reaches verifies; returns the
+    exit code and stdout."""
     decided = []
 
     def deciding(problem, **kwargs):
@@ -327,13 +332,156 @@ def test_interval_box_fuzz(grid):
         decided.append((problem, verdict, kwargs["caps"]))
         return verdict
 
-    text = ";".join(" ".join(row) for row in grid)
     with mock.patch.object(injcheck.cli, "check_injectivity", deciding), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = run_command(["interval", "--D", text])
-    assert code in (0, 1, 2, 64, 65, 66), text
+            contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run_command(argv)
+    assert code in (0, 1, 2, 64, 65, 66), argv
     for problem, verdict, caps in decided:
-        assert verify_certificate(verdict, problem, caps=caps), text
+        assert verify_certificate(verdict, problem, caps=caps), argv
+    return code, out.getvalue()
+
+
+def grid_text(draw, tokens, rows, cols):
+    """Matrix-shaped text of rows x cols tokens, rows joined by ';', with a
+    trailing ';' so that a one-row value is read inline, not as a file path."""
+    return ";".join(" ".join(draw(st.sampled_from(tokens)) for _ in range(cols))
+                    for _ in range(rows)) + ";"
+
+
+def dims():
+    return st.integers(1, 3)
+
+
+@given(st.lists(st.lists(st.sampled_from(BOX_TOKENS * 6 + MALFORMED_BOX_TOKENS),
+                         min_size=1, max_size=3),
+                min_size=1, max_size=3))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_interval_box_fuzz(grid):
+    verified_exit(["interval", "--D", ";".join(" ".join(row) for row in grid)])
+
+
+# Matrix tokens: integers and fractions of both signs, then entries too large
+# or too small for a float, a zero denominator and junk. Most shapes fit
+# together, so that many inputs reach a verdict.
+MATRIX_TOKENS = ("0", "1", "-1", "2", "-3", "10", "1/2", "-7/3", "1.5") * 8 + (
+    "1e999", "-1e999", "1e-999", "1e-999", "1/0", "x", "1/", "--1", "inf")
+
+
+@st.composite
+def matrix_argv(draw):
+    rows, cols = draw(dims()), draw(dims())
+    argv = ["monomial", "--B", grid_text(draw, MATRIX_TOKENS, rows, cols)]
+    if draw(st.booleans()):
+        fit = rows if draw(st.integers(0, 9)) else draw(dims())
+        argv += ["--A", grid_text(draw, MATRIX_TOKENS, draw(dims()), fit)]
+    kind = draw(st.sampled_from(("", "im:", "ker:")))
+    if kind:
+        fit = cols if draw(st.integers(0, 9)) else draw(dims())
+        shape = (fit, draw(dims())) if kind == "im:" else (draw(dims()), fit)
+        argv += ["--S", kind + grid_text(draw, MATRIX_TOKENS, *shape)]
+    return argv
+
+
+@given(matrix_argv())
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_matrix_text_fuzz(argv):
+    verified_exit(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["monomial", "--B", "1e999 2"],
+    ["monomial", "--B", "1e-999 2"],
+    ["monomial", "--B", "1/2 -1;-1 -1e999", "--A", "1 -7/3;"],
+    ["monomial", "--B", "1/2 0 10;10 1e-999 10;0 -3 2", "--A", "1/2 1e-999 1e-999;"],
+])
+def test_lift_beyond_floats_is_left_out(argv, tmp_path):
+    # the exact witness stands; the float lift is left out and the report says why
+    report = tmp_path / "report.json"
+    code, out = verified_exit(argv + ["--report", str(report)])
+    assert code == 1
+    assert "colliding points: omitted (" in out
+    verdict = json.loads(report.read_text())["verdict"]
+    assert verdict["status"] == "NOT_INJECTIVE"
+    assert "monomial_lift" not in verdict["certificate"]
+    assert verdict["diagnostics"]["monomial_lift_omitted"]
+
+
+SIGN_SET_TOKENS = ("0", "+", "-", "-0", "0+", "-+", "*") * 6 + (
+    "+-", "0-", "**", "00", "!", "x", "1", "+*")
+
+
+@st.composite
+def sign_set_argv(draw):
+    rows, cols = draw(dims()), draw(dims())
+    argv = ["monotonic", "--W", grid_text(draw, SIGN_SET_TOKENS, rows, cols)]
+    argv += ["--S", draw(st.sampled_from(("full", f"full:{cols}", f"full:{cols + 1}",
+                                          "im:" + ";".join(["1"] * cols) + ";",
+                                          "ker:" + " ".join(["1"] * cols) + ";")))]
+    if draw(st.booleans()):
+        argv += ["--A", grid_text(draw, ("0", "1", "-1", "1/2", "1/0"), draw(dims()), rows)]
+    return argv
+
+
+@given(sign_set_argv())
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_sign_set_text_fuzz(argv):
+    verified_exit(argv)
+
+
+CAPS_ITEMS = ("sign_enum_dim", "patterns", "vertices", "monomials", "branches") * 3 + (
+    "bogus", "")
+CAPS_VALUES = ("0", "1", "2", "14", "100") * 3 + ("-1", "1e999", "1/0", "x", "")
+
+
+@given(st.lists(st.tuples(st.sampled_from(CAPS_ITEMS), st.sampled_from(("=",) * 8 + ("", "==")),
+                          st.sampled_from(CAPS_VALUES)), min_size=1, max_size=4),
+       st.sampled_from((
+           ["monomial", "--B", "1 1;2 1"],
+           ["monomial", "--B", "1 2 1", "--S", "full:3"],
+           ["monotonic", "--W", "+ -;0+ +", "--route", "pattern-union"],
+           ["monotonic", "--W", "* + 0;- * +", "--S", "im:1;1;1"],
+           ["interval", "--D", "[1,2] (0,inf);(-inf,inf) {1}"],
+       )))
+@settings(derandomize=True, deadline=None, max_examples=200)
+def test_caps_fuzz(items, problem):
+    spec = ",".join(name + eq + value for name, eq, value in items)
+    verified_exit(problem + ["--caps", spec])
+
+
+SPECIES = ("A", "B", "C")
+COEFFICIENTS = ("", "", "", "2 ", "1/2 ") * 6 + ("1/0 ", "1e999 ", "1e-999 ", "0 ", "-1 ", "x ")
+ORDERS = ("1", "2", "1/2", "0") * 4 + ("1/0", "1e999", "-1", "x")
+
+
+@st.composite
+def network_text(draw):
+    lines = []
+    for k in range(draw(st.integers(1, 3))):
+        sides = []
+        for _ in range(2):
+            terms = draw(st.lists(st.tuples(st.sampled_from(COEFFICIENTS),
+                                            st.sampled_from(SPECIES)),
+                                  min_size=draw(st.sampled_from((0, 1, 1, 1))), max_size=2))
+            sides.append(" + ".join(c + s for c, s in terms) or "0")
+        line = draw(st.sampled_from((f"r{k}: ",) * 6 + ("", "1bad: ")))
+        line += draw(st.sampled_from((" -> ",) * 6 + (" <-> ", " => "))).join(sides)
+        if draw(st.booleans()):
+            orders = draw(st.lists(st.tuples(st.sampled_from(SPECIES), st.sampled_from(ORDERS)),
+                                   min_size=1, max_size=3))
+            line += " : orders " + " ".join(f"{s}={v}" for s, v in orders)
+        lines.append(line)
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(f"influence r0 : {draw(st.sampled_from(SPECIES))}="
+                     f"{draw(st.sampled_from(SIGN_SET_TOKENS))}")
+    return "\n".join(lines) + "\n"
+
+
+@given(network_text(), st.sampled_from(("mass-action", "power-law", "monotonic-strict",
+                                        "monotonic-weak") * 3 + ("bogus",)))
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_network_text_fuzz(text, mode):
+    verified_exit(["crn", text, "--mode", mode])
 
 
 class TestInstalledEntryPoint:

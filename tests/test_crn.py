@@ -70,6 +70,17 @@ class TestParsing:
             parse_network("A -> B\nA + B")
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text", [
+        "A -> B\n1/0 A -> B\n",
+        "A -> B\nA + B -> C : orders A=1/0 B=1\n",
+        "A -> B\nA + 2/0 B -> C\n",
+    ])
+    def test_zero_denominator_reports_line(self, text):
+        with pytest.raises(NetworkTextError) as err:
+            parse_network(text)
+        assert err.value.line == 2
+        assert "1/0" in str(err.value) or "2/0" in str(err.value)
+
     def test_influence_unknown_reaction(self):
         with pytest.raises(NetworkTextError):
             parse_network("A -> B\ninfluence zz: A=+")
@@ -105,7 +116,7 @@ class TestMatrices:
 
     def test_reactant_matrix(self):
         net = parse_network("A + 2 B -> 3 C\nC -> A")
-        B = net.reactant_matrix()
+        B = build_problem(net, KineticsMode.MASS_ACTION).matrices.B
         assert B == M([1, 2, 0], [0, 0, 1])
 
 

@@ -1,6 +1,9 @@
-import pytest
+import random
 from fractions import Fraction
 
+import pytest
+
+from injcheck import linalg
 from injcheck.linalg import (
     MatrixTextError,
     RationalMatrix,
@@ -11,18 +14,28 @@ from injcheck.linalg import (
     kernel_rep_of_image,
     parse_matrix_text,
     parse_rational_token,
-    rank,
     rat,
     row_basis,
-    rref,
-    solve_linear,
 )
+
+from oracles import fraction_determinant, fraction_rref
 
 F = Fraction
 
 
 def M(*rows):
     return RationalMatrix.from_rows(rows)
+
+
+def reduced_form(A):
+    """(reduced row echelon form as Fraction rows, pivot columns) read off
+    the fraction-free elimination: rows d * rref divided by d."""
+    work, pivots, d = linalg._reduced(A)
+    return [[F(v, d) for v in row] for row in work], tuple(pivots)
+
+
+def rank(A):
+    return row_basis(A).rows
 
 
 class TestRat:
@@ -68,8 +81,8 @@ class TestMatrixBasics:
 
 class TestRrefRankKernel:
     def test_rref_identity(self):
-        R, pivots = rref(M([2, 0], [0, 3]))
-        assert R == RationalMatrix.identity(2)
+        R, pivots = reduced_form(M([2, 0], [0, 3]))
+        assert R == [[1, 0], [0, 1]]
         assert pivots == (0, 1)
 
     def test_rank(self):
@@ -152,19 +165,6 @@ class TestDeterminant:
             assert determinant(A) == laplace(tuple(range(n)), tuple(range(n)))
 
 
-class TestSolve:
-    def test_unique_solution(self):
-        x = solve_linear(M([2, 1], [1, 3]), (5, 10))
-        assert x == (1, 3)
-
-    def test_inconsistent(self):
-        assert solve_linear(M([1, 1], [1, 1]), (0, 1)) is None
-
-    def test_underdetermined_picks_a_solution(self):
-        x = solve_linear(M([1, 1]), (4,))
-        assert sum(x) == 4
-
-
 class TestSubspace:
     def test_full_space(self):
         S = Subspace.full(3)
@@ -184,14 +184,104 @@ class TestSubspace:
     def test_same_space(self):
         S1 = Subspace.from_image(RationalMatrix.column([1, 1]))
         S2 = Subspace.from_kernel_rep(M([1, -1]))
-        assert S1.same_space(S2)
-        assert not S1.same_space(Subspace.full(2))
+        assert S1.dim == S2.dim == 1
+        assert S2.kernel_rep().matmul(S1.image_basis()).is_zero()
+        assert S1.kernel_rep().matmul(S2.image_basis()).is_zero()
+        assert Subspace.full(2).dim != S1.dim
 
     def test_zero_subspace(self):
         S = Subspace.from_image(RationalMatrix(2, 0, [[], []]))
         assert S.dim == 0
         assert S.contains((0, 0))
         assert not S.contains((1, 0))
+
+
+def _random_matrix(rng):
+    """A seeded matrix of 0 to 6 rows and 0 to 7 columns that exercises the
+    elimination: zero rows and columns, duplicate rows and rational row
+    combinations (rank deficiency), large coprime denominators and entries of
+    size 10^999."""
+    rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+    zeros = rng.choice((0.0, 0.2, 0.4, 0.6))
+    big = rng.random() < 0.05
+
+    def entry():
+        if rng.random() < zeros:
+            return F(0)
+        kind = rng.random()
+        if big and kind < 0.3:
+            return F(rng.choice((1, -1)) * 10 ** 999 + rng.randint(-3, 3),
+                     rng.choice((1, 3, 10 ** 999 + 7)))
+        if kind < 0.15:
+            return F(rng.randint(-10 ** 6, 10 ** 6), rng.choice((999_983, 1_000_003, 2 ** 61 - 1)))
+        return F(rng.randint(-9, 9), rng.choice((1, 1, 3, 7)))
+
+    data = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in range(1, rows):
+        shape = rng.random()
+        if shape < 0.1:
+            data[i] = list(data[rng.randrange(i)])
+        elif shape < 0.2:
+            a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), F(rng.randint(-3, 3), rng.randint(1, 4))
+            j, k = rng.randrange(i), rng.randrange(i)
+            data[i] = [a * x + b * y for x, y in zip(data[j], data[k])]
+        elif shape < 0.25:
+            data[i] = [F(0)] * cols
+    if cols and rng.random() < 0.15:
+        dead = rng.randrange(cols)
+        for row in data:
+            row[dead] = F(0)
+    return RationalMatrix(rows, cols, data)
+
+
+class TestFractionFreeCore:
+    """The fraction-free elimination must give the very reduced form, pivots,
+    bases and determinant of the Fraction elimination in tests/oracles.py."""
+
+    def check(self, A):
+        ref, ref_pivots = fraction_rref(A.data, A.rows, A.cols)
+        got, pivots = reduced_form(A)
+        assert pivots == tuple(ref_pivots), A
+        assert got == ref, A
+        r = len(pivots)
+        assert row_basis(A) == RationalMatrix(r, A.cols, ref[:r])
+        K = kernel_basis(A)
+        assert K.cols == A.cols - r
+        for k, free in enumerate(j for j in range(A.cols) if j not in ref_pivots):
+            v = K.col(k)
+            assert v[free] == 1
+            assert all(v[p] == -ref[i][free] for i, p in enumerate(ref_pivots))
+        assert all(x == 0 for k in range(K.cols) for x in A.apply(K.col(k)))
+        if A.rows == A.cols:
+            assert determinant(A) == fraction_determinant(A), A
+
+    def test_matches_fraction_reference_on_seeded_matrices(self):
+        rng = random.Random(13)
+        shapes = set()
+        for _ in range(1200):
+            A = _random_matrix(rng)
+            shapes.add((A.rows == 0, A.cols == 0, A.rows == A.cols))
+            self.check(A)
+        assert len(shapes) >= 5
+
+    @pytest.mark.parametrize("A", [
+        RationalMatrix.zeros(0, 3),
+        RationalMatrix(3, 0, [[], [], []]),
+        RationalMatrix.zeros(0, 0),
+        RationalMatrix.zeros(3, 3),
+        M([0, 1], [1, 0]),
+        M([0, 0, 1], [0, 1, 0], [1, 0, 0]),
+        M([1, 2, 3], [2, 4, 6], [1, 1, 1]),
+        M([F(1, 999_983), F(1, 1_000_003)], [F(1, 2 ** 61 - 1), F(2, 3)]),
+        M([10 ** 999, 1], [1, F(1, 10 ** 999)]),
+    ])
+    def test_edge_shapes(self, A):
+        self.check(A)
+
+    def test_swap_sign_and_scales_enter_the_determinant(self):
+        assert determinant(M([0, 1], [1, 0])) == -1
+        assert determinant(M([0, F(1, 2), 0], [0, 0, F(1, 3)], [5, 0, 0])) == F(5, 6)
+        assert determinant(RationalMatrix.zeros(0, 0)) == 1
 
 
 class TestTextFormat:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import enumerate_subspace_signs, lp_concordant
+from oracles import ALL_SIGN_SETS, all_sign_vectors, enumerate_subspace_signs, lp_concordant
 
 from injcheck.classes import (
     Interval,
@@ -29,9 +29,7 @@ from injcheck.signroute import (
     subspace_sign_vectors,
 )
 from injcheck.signs import (
-    ALL_SIGN_SETS,
     SignVector,
-    all_sign_vectors,
     sigma,
     sign_of,
     sign_orthogonal,
