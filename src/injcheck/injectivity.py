@@ -192,7 +192,8 @@ def lift_monomial_witness(B: RationalMatrix, v: Sequence[Fraction],
 
     x_i = w_i e^{v_i} / (e^{v_i} - 1) and y_i = w_i / (e^{v_i} - 1); where
     v_i = 0 (hence w_i = 0) both coordinates are set to 1. This is the only
-    floating-point construction in the library outside the oracle.
+    floating-point construction in the library outside the oracle. An
+    ArithmeticError says when the lift does not fit in floats.
     """
     v = rat_vector(v)
     w = rat_vector(w)
@@ -204,7 +205,10 @@ def lift_monomial_witness(B: RationalMatrix, v: Sequence[Fraction],
         raise ValueError("v and w must have identical sign vectors")
     if all(x == 0 for x in v):
         raise ValueError("v must be nonzero")
-    return _lift_points(v, w)
+    try:
+        return _lift_points(v, w)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"the lift does not fit in floats: {exc}") from exc
 
 
 def _lift_points(v, w) -> tuple[tuple[float, ...], tuple[float, ...]]:

@@ -8,6 +8,8 @@ its denominators, and every update is (p*row - f*lead) // prev with p the new
 pivot and prev the one before it. Each entry after a step is a minor of the
 scaled input (Sylvester's identity), so the floor division is exact, and the
 pivot rows end as d times the reduced row echelon form, d the last pivot.
+Products run over the same int rows, cached per matrix: int dot products,
+then one Fraction per output entry.
 
 Matrix text format (used by the CLI and the test fixtures): one row per line,
 entries separated by whitespace. An entry is an integer (`-3`), a fraction
@@ -18,6 +20,7 @@ a binary float). Blank lines and `#` comments are ignored.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -45,7 +48,7 @@ def rat_vector(values: Iterable) -> tuple[Fraction, ...]:
 class RationalMatrix:
     """Dense row-major matrix over the rationals."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_int_rows")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
         if rows < 0 or cols < 0:
@@ -61,6 +64,13 @@ class RationalMatrix:
         self.rows = rows
         self.cols = cols
         self.data = tuple(mat)
+        self._int_rows = None
+
+    def int_rows(self) -> tuple[tuple[list[int], int], ...]:
+        """`integer_row` of every row, computed once; not to be mutated."""
+        if self._int_rows is None:
+            self._int_rows = tuple(integer_row(row) for row in self.data)
+        return self._int_rows
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "RationalMatrix":
@@ -102,17 +112,17 @@ class RationalMatrix:
         vec = rat_vector(v)
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} != {self.cols} columns")
-        return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in self.data)
+        ints, scale = integer_row(vec)
+        return tuple(Fraction(sum(map(operator.mul, row, ints)), s * scale)
+                     for row, s in self.int_rows())
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        ot = other.transpose()
-        out = [
-            [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in ot.data]
-            for row in self.data
-        ]
-        return RationalMatrix(self.rows, other.cols, out)
+        cols = [integer_row(other.col(j)) for j in range(other.cols)]
+        return RationalMatrix(self.rows, other.cols, [
+            [Fraction(sum(map(operator.mul, row, col)), s * t) for col, t in cols]
+            for row, s in self.int_rows()])
 
     __matmul__ = matmul
 
@@ -186,7 +196,7 @@ def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
 
 def _reduced(M: RationalMatrix) -> tuple[list[list[int]], list[int], int]:
     """(rows, pivot columns, d): the first len(pivots) rows are d * rref(M)."""
-    work = [integer_row(row)[0] for row in M.data]
+    work = [ints for ints, _ in M.int_rows()]
     pivots, d, _ = _eliminate(work)
     return work, pivots, d
 
@@ -234,8 +244,7 @@ def determinant(M: RationalMatrix) -> Fraction:
     if M.rows != M.cols:
         raise ValueError(f"determinant of non-square {M.shape} matrix")
     work, scale = [], 1
-    for row in M.data:
-        ints, s = integer_row(row)
+    for ints, s in M.int_rows():
         work.append(ints)
         scale *= s
     pivots, d, sign = _eliminate(work)

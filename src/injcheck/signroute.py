@@ -16,9 +16,11 @@ feasibility question each.
 
 sigma(S), sigma(ker A) and the vectors with a given sign that a witness needs
 come from the elementary vectors of the subspace (`subspace_sign_vectors`,
-`realize_sign_in_subspace`), and sign-set members have a closed form
-(`signset_member_rows`), so the phase-1 LP serves only Scaled pairs and
-intervals.
+`realize_sign_in_subspace`), each read off one `linalg._eliminate` of int
+rows, and sign-set members have a closed form (`signset_member_rows`), so the
+phase-1 LP serves only Scaled pairs and intervals. Concordance runs on bit
+masks: per sign-set row, the columns whose set holds +1, -1 or 0, once per
+sweep; per tau, the rows that pass with each sign, so a pair is three tests.
 
 Every search is lexicographic (-1 < 0 < +1) and the first feasible pair is the
 one a witness is built from, so runs are reproducible bit for bit.
@@ -27,6 +29,7 @@ one a witness is built from, so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -45,14 +48,8 @@ from .classes import (
 )
 from .feasibility import feasible_cone, strict_sign_feasible
 from .limits import CapExceeded, Caps, DEFAULT_CAPS
-from .linalg import RationalMatrix, Subspace, kernel_basis
-from .signs import (
-    SignVector,
-    sigma,
-    sign_of,
-    signset_row_orthogonal,
-    signset_row_orthogonal_witness,
-)
+from .linalg import RationalMatrix, Subspace, _eliminate
+from .signs import SignVector, sigma, sign_of, signset_row_orthogonal_witness
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -120,23 +117,30 @@ def _elementary(S: Subspace) -> dict[tuple[int, int], tuple[Fraction, ...]]:
     the coordinates; cached on S. With an image basis V (n x d), Vc is
     elementary exactly when the rows of V it vanishes on have rank d - 1, so
     every elementary vector is +-Vc for c spanning the kernel of some d - 1
-    rows of V of rank d - 1."""
+    rows of V of rank d - 1. `_eliminate` of their int rows gives den * c
+    (free coordinate den, pivot coordinates -work[i][free]); with row j of V
+    ints_j / s_j, (Vc)_j = (ints_j . den c) / (den * s_j)."""
     cached = S._sign_vectors_cache.get("elementary")
     if cached is not None:
         return cached
     n = S.n
     V = S.image_basis()
     d = V.cols
+    rows = V.int_rows()
     elementary: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for rows in itertools.combinations(range(n), d - 1) if d else ():
-        c = kernel_basis(RationalMatrix(d - 1, d, [V.row(i) for i in rows]))
-        if c.cols != 1:
+    for subset in itertools.combinations(range(n), d - 1) if d else ():
+        work = [rows[i][0] for i in subset]
+        pivots, den, _ = _eliminate(work)
+        if len(pivots) != d - 1:
             continue
-        z = V.apply(c.col(0))
-        pos = sum(1 << i for i in range(n) if z[i] > 0)
-        neg = sum(1 << i for i in range(n) if z[i] < 0)
-        elementary.setdefault((pos, neg), z)
-        elementary.setdefault((neg, pos), tuple(-v for v in z))
+        free = next(j for j in range(d) if j not in pivots)
+        c = [den if j == free else -work[pivots.index(j)][free] for j in range(d)]
+        nums = [sum(map(operator.mul, ints, c)) for ints, _ in rows]
+        pos, neg, _ = _masks([num * den for num in nums])
+        for key, sign in (((pos, neg), 1), ((neg, pos), -1)):
+            if key not in elementary:
+                elementary[key] = tuple(Fraction(sign * num, den * s)
+                                        for num, (_, s) in zip(nums, rows))
     S._sign_vectors_cache["elementary"] = elementary
     return elementary
 
@@ -152,8 +156,7 @@ def realize_sign_in_subspace(S: Subspace, tau: SignVector) -> Optional[tuple[Fra
     """
     if len(tau) != S.n:
         raise ValueError("dimension mismatch")
-    pos = sum(1 << i for i, s in enumerate(tau) if s > 0)
-    neg = sum(1 << i for i, s in enumerate(tau) if s < 0)
+    pos, neg, _ = _masks(tau)
     z = [_ZERO] * S.n
     covered = 0
     for (p, m), e in _elementary(S).items():
@@ -180,18 +183,46 @@ def concordant_pair(rho, tau, W: SignSetMatrix) -> bool:
     rho_i is nonzero (the row can then be made to dominate); and a sign row
     orthogonal to tau inside the row's sign sets when rho_i = 0.
     """
-    rho_e = rho.entries if isinstance(rho, SignVector) else tuple(int(s) for s in rho)
-    tau_e = tau.entries if isinstance(tau, SignVector) else tuple(int(s) for s in tau)
-    if len(rho_e) != W.rows or len(tau_e) != W.cols:
+    if len(rho) != W.rows or len(tau) != W.cols:
         raise ValueError("dimension mismatch")
-    for i in range(W.rows):
-        row = W.row(i)
-        if rho_e[i] == 0:
-            if not signset_row_orthogonal(row, tau_e):
-                return False
-        elif not any(tau_e[j] and rho_e[i] * tau_e[j] in row[j] for j in range(W.cols)):
-            return False
-    return True
+    up_ok, down_ok, zero_ok = _concordant_rows(_row_masks(W), tau)
+    pos, neg, zero = _masks(rho)
+    return not (pos & ~up_ok or neg & ~down_ok or zero & ~zero_ok)
+
+
+def _masks(values: Sequence) -> tuple[int, int, int]:
+    """The bit masks of the positive, the negative and the zero entries."""
+    pos = sum(1 << i for i, v in enumerate(values) if v > 0)
+    neg = sum(1 << i for i, v in enumerate(values) if v < 0)
+    return pos, neg, ((1 << len(values)) - 1) & ~(pos | neg)
+
+
+def _row_masks(W: SignSetMatrix) -> list[tuple[int, int, int]]:
+    """Per row of W, the masks of the columns whose sign set holds +1, -1, 0."""
+    masks = []
+    for row in W.entries:
+        m = [0, 0, 0]  # indexed by the sign: m[1], m[-1], m[0]
+        for j, s in enumerate(row):
+            for sign in s:
+                m[sign] |= 1 << j
+        masks.append((m[1], m[-1], m[0]))
+    return masks
+
+
+def _concordant_rows(masks: list[tuple[int, int, int]], tau) -> tuple[int, int, int]:
+    """The masks of the rows of W (by `_row_masks`) that pass against tau with
+    rho_i = +1, -1 and 0. up and down hold the j where some s in w_ij makes
+    s * tau_j = +1 and -1; rho_i = 0 needs products 0 throughout (supp tau
+    inside zero), or a +1 and a -1 at two distinct coordinates."""
+    P, N, _ = _masks(tau)
+    up_ok = down_ok = zero_ok = 0
+    for i, (plus, minus, zero) in enumerate(masks):
+        up, down = P & plus | N & minus, P & minus | N & plus
+        orthogonal = not (P | N) & ~zero or up and down and (up != down or up & (up - 1))
+        up_ok |= bool(up) << i
+        down_ok |= bool(down) << i
+        zero_ok |= bool(orthogonal) << i
+    return up_ok, down_ok, zero_ok
 
 
 def signset_member_rows(W: SignSetMatrix, x: Sequence[Fraction],
@@ -560,13 +591,15 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
     rhos = _left_zero_signs(W_out, K, inner.rows, caps)
     if W_out is None:
         diag["rhos"] = len(rhos)
+    masks, rho_masks = _row_masks(W_in), [_masks(rho) for rho in rhos]
     for tau in taus:
-        for rho in rhos:
+        up_ok, down_ok, zero_ok = _concordant_rows(masks, tau)
+        for rho, (pos, neg, zero) in zip(rhos, rho_masks):
             # pairs_checked counts the deciding test: concordance for sign
             # sets, the LP behind it for Scaled
             if not scaled:
                 diag["pairs_checked"] += 1
-            if not concordant_pair(rho, tau, W_in):
+            if pos & ~up_ok or neg & ~down_ok or zero & ~zero_ok:
                 continue
             v = None
             if scaled:
@@ -588,8 +621,9 @@ def _left_zero_signs(W_out: Optional[SignSetMatrix], K: Optional[Subspace],
     if W_out is not None:
         if rows > caps.sign_enum_dim:
             raise CapExceeded("sign_enum_dim", rows, caps.sign_enum_dim)
+        masks, every_row = _row_masks(W_out), (1 << W_out.rows) - 1
         return [SignVector(c) for c in itertools.product((-1, 0, 1), repeat=rows)
-                if all(signset_row_orthogonal(W_out.row(i), c) for i in range(W_out.rows))]
+                if _concordant_rows(masks, c)[2] == every_row]
     kernel = subspace_sign_vectors(K, caps) if K is not None else ()
     return [SignVector(c) for c in sorted({(0,) * rows} | {k.entries for k in kernel})]
 

@@ -137,28 +137,6 @@ def _achievable_products(w_i: SignSet, rho_i: Sign) -> frozenset:
     return frozenset(s * rho_i for s in w_i)
 
 
-def signset_row_orthogonal(w_row: Sequence[SignSet], rho) -> bool:
-    """Is some tau with tau_i in w_row[i] orthogonal to rho?
-
-    Per coordinate the achievable products s * rho_i form a set; a valid tau
-    needs either product 0 everywhere, or two distinct coordinates delivering
-    -1 and +1 (remaining coordinates are then unconstrained).
-    """
-    r = _entries(rho)
-    if len(w_row) != len(r):
-        raise ValueError("length mismatch")
-    prods = [_achievable_products(w, s) for w, s in zip(w_row, r)]
-    if all(0 in p for p in prods):
-        return True
-    neg = [i for i, p in enumerate(prods) if -1 in p]
-    pos = [i for i, p in enumerate(prods) if 1 in p]
-    for i in neg:
-        for j in pos:
-            if i != j:
-                return True
-    return False
-
-
 def signset_row_orthogonal_witness(w_row: Sequence[SignSet], rho) -> Optional[SignVector]:
     """A concrete tau in the row's sign sets with tau . rho = 0, or None.
 

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own combinatorial shortcuts: sign-set
 concordance is re-decided with one exact feasibility problem per row, and
 subspace sign vectors are re-enumerated by solving one feasibility problem
-per candidate.  Slow, but a second opinion.  The rational phase-1 simplex and
-the rational eliminations are kept here as the references for the integer
-tableau and the fraction-free elimination the library runs.
+per candidate.  Slow, but a second opinion.  The rational phase-1 simplex,
+the rational eliminations, products and elementary vectors, and the set-based
+concordance test are kept here as the references for the integer tableau, the
+int-row core and the bit-mask concordance the library runs.
 """
 
 import itertools
@@ -13,8 +14,8 @@ from fractions import Fraction
 
 from injcheck.classes import SignSetMatrix
 from injcheck.feasibility import strict_sign_feasible
-from injcheck.linalg import RationalMatrix, Subspace
-from injcheck.signs import SignVector
+from injcheck.linalg import RationalMatrix, Subspace, kernel_basis, rat_vector
+from injcheck.signs import SignVector, _achievable_products, _entries
 
 ALL_SIGN_SETS = (
     frozenset({0}),
@@ -174,3 +175,84 @@ def fraction_determinant(M):
                 f = work[i][c] * inv
                 work[i] = [a - f * b for a, b in zip(work[i], lead)]
     return det
+
+
+def fraction_apply(M, v):
+    """Matrix-vector product summed over Fraction, the reference for
+    `RationalMatrix.apply`."""
+    vec = rat_vector(v)
+    if len(vec) != M.cols:
+        raise ValueError(f"vector length {len(vec)} != {M.cols} columns")
+    return tuple(sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in M.data)
+
+
+def fraction_matmul(M, other):
+    """Matrix product summed over Fraction, the reference for
+    `RationalMatrix.matmul`."""
+    if M.cols != other.rows:
+        raise ValueError(f"shape mismatch: {M.shape} @ {other.shape}")
+    ot = other.transpose()
+    out = [
+        [sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in ot.data]
+        for row in M.data
+    ]
+    return RationalMatrix(M.rows, other.cols, out)
+
+
+def fraction_elementary(S):
+    """The elementary vectors of S keyed by their sign masks, from one
+    `kernel_basis` and one Fraction product per d - 1 rows of the image basis:
+    the reference for `injcheck.signroute._elementary` (uncached)."""
+    n = S.n
+    V = S.image_basis()
+    d = V.cols
+    elementary = {}
+    for rows in itertools.combinations(range(n), d - 1) if d else ():
+        c = kernel_basis(RationalMatrix(d - 1, d, [V.row(i) for i in rows]))
+        if c.cols != 1:
+            continue
+        z = fraction_apply(V, c.col(0))
+        pos = sum(1 << i for i in range(n) if z[i] > 0)
+        neg = sum(1 << i for i in range(n) if z[i] < 0)
+        elementary.setdefault((pos, neg), z)
+        elementary.setdefault((neg, pos), tuple(-v for v in z))
+    return elementary
+
+
+def signset_row_orthogonal(w_row, rho):
+    """Is some tau with tau_i in w_row[i] orthogonal to rho?
+
+    Per coordinate the achievable products s * rho_i form a set; a valid tau
+    needs either product 0 everywhere, or two distinct coordinates delivering
+    -1 and +1 (remaining coordinates are then unconstrained).
+    """
+    r = _entries(rho)
+    if len(w_row) != len(r):
+        raise ValueError("length mismatch")
+    prods = [_achievable_products(w, s) for w, s in zip(w_row, r)]
+    if all(0 in p for p in prods):
+        return True
+    neg = [i for i, p in enumerate(prods) if -1 in p]
+    pos = [i for i, p in enumerate(prods) if 1 in p]
+    for i in neg:
+        for j in pos:
+            if i != j:
+                return True
+    return False
+
+
+def set_concordant_pair(rho, tau, W: SignSetMatrix) -> bool:
+    """`injcheck.signroute.concordant_pair` decided on the sign sets row by
+    row, the reference for its bit-mask form."""
+    rho_e = rho.entries if isinstance(rho, SignVector) else tuple(int(s) for s in rho)
+    tau_e = tau.entries if isinstance(tau, SignVector) else tuple(int(s) for s in tau)
+    if len(rho_e) != W.rows or len(tau_e) != W.cols:
+        raise ValueError("dimension mismatch")
+    for i in range(W.rows):
+        row = W.row(i)
+        if rho_e[i] == 0:
+            if not signset_row_orthogonal(row, tau_e):
+                return False
+        elif not any(tau_e[j] and rho_e[i] * tau_e[j] in row[j] for j in range(W.cols)):
+            return False
+    return True

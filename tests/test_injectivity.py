@@ -300,6 +300,13 @@ class TestMonomialLift:
         with pytest.raises(ValueError):
             lift_monomial_witness(M([1, 1]), (F(0), F(0)), (F(0), F(0)))
 
+    def test_lift_beyond_floats_says_so(self):
+        # -10^999 overflows a float, and rescaled to max |v_i| = 1 the other
+        # coordinate underflows to 0, where expm1 vanishes
+        v = (F(2), F(-10 ** 999))
+        with pytest.raises(ArithmeticError, match="does not fit in floats"):
+            lift_monomial_witness(RationalMatrix(1, 2, [[10 ** 999, 2]]), v, v)
+
 
 def _power_image(B, i, point):
     return math.prod(point[j] ** float(B.at(i, j)) for j in range(B.cols))

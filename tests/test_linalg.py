@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -18,7 +20,7 @@ from injcheck.linalg import (
     row_basis,
 )
 
-from oracles import fraction_determinant, fraction_rref
+from oracles import fraction_apply, fraction_determinant, fraction_matmul, fraction_rref
 
 F = Fraction
 
@@ -196,12 +198,13 @@ class TestSubspace:
         assert not S.contains((1, 0))
 
 
-def _random_matrix(rng):
-    """A seeded matrix of 0 to 6 rows and 0 to 7 columns that exercises the
-    elimination: zero rows and columns, duplicate rows and rational row
-    combinations (rank deficiency), large coprime denominators and entries of
-    size 10^999."""
-    rows, cols = rng.randint(0, 6), rng.randint(0, 7)
+def _random_matrix(rng, rows=None, cols=None):
+    """A seeded matrix of 0 to 6 rows and 0 to 7 columns (or of the given
+    shape) that exercises the elimination: zero rows and columns, duplicate
+    rows and rational row combinations (rank deficiency), large coprime
+    denominators and entries of size 10^999."""
+    rows = rng.randint(0, 6) if rows is None else rows
+    cols = rng.randint(0, 7) if cols is None else cols
     zeros = rng.choice((0.0, 0.2, 0.4, 0.6))
     big = rng.random() < 0.05
 
@@ -282,6 +285,58 @@ class TestFractionFreeCore:
         assert determinant(M([0, 1], [1, 0])) == -1
         assert determinant(M([0, F(1, 2), 0], [0, 0, F(1, 3)], [5, 0, 0])) == F(5, 6)
         assert determinant(RationalMatrix.zeros(0, 0)) == 1
+
+
+class TestIntProducts:
+    """apply and matmul over the cached int rows must give the very Fractions
+    of the Fraction sums in tests/oracles.py."""
+
+    def test_match_fraction_reference_on_seeded_shapes(self):
+        rng = random.Random(14)
+        shapes = set()
+        for _ in range(1200):
+            A = _random_matrix(rng)
+            v = _random_matrix(rng, 1, A.cols).row(0)
+            B = _random_matrix(rng, A.cols)
+            shapes.add((A.rows == 0, A.cols == 0, B.cols == 0))
+            got = A.apply(v)
+            assert got == fraction_apply(A, v), A
+            assert all(type(x) is Fraction for x in got)
+            assert A.matmul(B) == fraction_matmul(A, B), (A, B)
+            assert A.apply(v) == got  # again, from the filled cache
+        assert len(shapes) >= 6
+
+    @pytest.mark.parametrize("A, v", [
+        (RationalMatrix.zeros(0, 3), (1, 2, 3)),
+        (RationalMatrix(2, 0, [[], []]), ()),
+        (RationalMatrix.zeros(2, 2), (F(1, 3), 5)),
+        (M([F(1, 999_983), F(1, 1_000_003)], [F(1, 2 ** 61 - 1), 0]),
+         (F(1, 2 ** 61 - 1), 999_983)),
+        (M([10 ** 999, 1], [1, F(1, 10 ** 999)]), (F(1, 10 ** 999), -10 ** 999)),
+    ])
+    def test_edge_shapes(self, A, v):
+        assert A.apply(v) == fraction_apply(A, v)
+        for B in (A.transpose(), RationalMatrix.zeros(A.cols, 0), RationalMatrix.column(v)):
+            assert A.matmul(B) == fraction_matmul(A, B)
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError):
+            M([1, 2]).apply((1,))
+        with pytest.raises(ValueError):
+            M([1, 2]).matmul(M([1, 2]))
+
+    def test_filled_cache_stays_out_of_equality_copies_and_pickles(self):
+        rows = ([F(1, 2), -3, 0], [F(22, 7), 10 ** 999, F(1, 999_983)])
+        filled, fresh = M(*rows), M(*rows)
+        filled.apply((1, 2, 3))
+        filled.matmul(fresh.transpose())
+        assert filled._int_rows is not None and fresh._int_rows is None
+        for twin in (filled, copy.deepcopy(filled), pickle.loads(pickle.dumps(filled))):
+            assert twin == fresh and fresh == twin
+            assert hash(twin) == hash(fresh)
+            assert repr(twin) == repr(fresh)
+            assert twin.apply((F(1, 3), 0, -1)) == fresh.apply((F(1, 3), 0, -1))
+        assert copy.deepcopy(filled) == filled
 
 
 class TestTextFormat:

@@ -4,13 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ALL_SIGN_SETS, all_sign_vectors, enumerate_subspace_signs, lp_concordant
+from oracles import (
+    ALL_SIGN_SETS,
+    all_sign_vectors,
+    enumerate_subspace_signs,
+    fraction_elementary,
+    lp_concordant,
+    set_concordant_pair,
+)
 
 from injcheck.classes import (
     Interval,
     Product,
     Scaled,
     SignPattern,
+    SignSetMatrix,
     SignSets,
     parse_interval_box_text,
     parse_signsets_text,
@@ -44,6 +52,21 @@ def M(*rows):
 
 def sv(*entries):
     return SignVector(tuple(entries))
+
+
+DEGENERATE_SUBSPACES = [
+    Subspace.from_image(M([1, 2], [0, 0], [-1, 1], [2, -3], [1, 1])),
+    Subspace.from_kernel_rep(M([0, 1, 0, 0, 0], [1, 0, -1, 2, 1])),
+    Subspace.from_image(M([1, -1, 0], [-2, 2, 0], [0, 1, 1], [3, -3, 0], [1, 0, 2])),
+    Subspace.from_image(M([1, 2, 3], [0, 1, 1], [-1, 1, 0], [2, 0, 2], [1, -1, 0])),
+    Subspace.from_kernel_rep(M([1, 1, 0, -1], [2, 2, 0, -2], [0, 1, 1, 0])),
+    Subspace.from_image(RationalMatrix(6, 1, [[1], [0], [-2], [3], [0], [-1]])),
+    Subspace.from_kernel_rep(M([1, 1, -1, 1, -1, 1])),
+    Subspace.from_kernel_rep(M([1, -1, 0, 2, -3])),
+]
+DEGENERATE_IDS = ["zero-coordinate", "zero-coordinate-kernel", "parallel-coordinates",
+                  "dependent-image-columns", "dependent-kernel-rows", "line", "hyperplane",
+                  "hyperplane-zero-coefficient"]
 
 
 class TestSubspaceSignVectors:
@@ -80,18 +103,7 @@ class TestSubspaceSignVectors:
                 continue
             assert subspace_sign_vectors(S) == enumerate_subspace_signs(S)
 
-    @pytest.mark.parametrize("S", [
-        Subspace.from_image(M([1, 2], [0, 0], [-1, 1], [2, -3], [1, 1])),
-        Subspace.from_kernel_rep(M([0, 1, 0, 0, 0], [1, 0, -1, 2, 1])),
-        Subspace.from_image(M([1, -1, 0], [-2, 2, 0], [0, 1, 1], [3, -3, 0], [1, 0, 2])),
-        Subspace.from_image(M([1, 2, 3], [0, 1, 1], [-1, 1, 0], [2, 0, 2], [1, -1, 0])),
-        Subspace.from_kernel_rep(M([1, 1, 0, -1], [2, 2, 0, -2], [0, 1, 1, 0])),
-        Subspace.from_image(RationalMatrix(6, 1, [[1], [0], [-2], [3], [0], [-1]])),
-        Subspace.from_kernel_rep(M([1, 1, -1, 1, -1, 1])),
-        Subspace.from_kernel_rep(M([1, -1, 0, 2, -3])),
-    ], ids=["zero-coordinate", "zero-coordinate-kernel", "parallel-coordinates",
-            "dependent-image-columns", "dependent-kernel-rows", "line", "hyperplane",
-            "hyperplane-zero-coefficient"])
+    @pytest.mark.parametrize("S", DEGENERATE_SUBSPACES, ids=DEGENERATE_IDS)
     def test_degenerate_subspaces_match_brute_enumeration(self, S):
         assert subspace_sign_vectors(S) == enumerate_subspace_signs(S)
 
@@ -165,6 +177,71 @@ class TestSubspaceSignVectors:
     def test_kernel_sign_vectors(self):
         got = subspace_sign_vectors(Subspace.from_kernel_rep(M([1, 1])))
         assert [v.entries for v in got] == [(-1, 1), (1, -1)]
+
+
+class TestElementaryVectors:
+    """`_elementary` reads each kernel off the int-row elimination; it must
+    give the keys, exact vectors and insertion order of the Fraction kernel
+    and product it replaced (tests/oracles.py)."""
+
+    @staticmethod
+    def check(S):
+        got = signroute._elementary(S)
+        ref = fraction_elementary(S)
+        assert list(got) == list(ref)
+        assert all(type(v) is Fraction for z in got.values() for v in z)
+        assert list(got.values()) == list(ref.values())
+
+    def test_matches_fraction_reference_on_seeded_subspaces(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            n = rng.randint(1, 7)
+            k = rng.randint(1, n)
+
+            def entry():
+                return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 999_983)))
+
+            if rng.random() < 0.5:
+                S = Subspace.from_image(RationalMatrix(
+                    n, k, [[entry() for _ in range(k)] for _ in range(n)]))
+            else:
+                S = Subspace.from_kernel_rep(RationalMatrix(
+                    k, n, [[entry() for _ in range(n)] for _ in range(k)]))
+            self.check(S)
+
+    @pytest.mark.parametrize("S", DEGENERATE_SUBSPACES, ids=DEGENERATE_IDS)
+    def test_degenerate_subspaces_match_fraction_reference(self, S):
+        self.check(S)
+
+
+class TestMaskConcordance:
+    """The bit-mask concordance against the set-based test in tests/oracles.py."""
+
+    def test_every_row_of_up_to_three_sign_sets(self):
+        for n in (1, 2, 3):
+            for row in itertools.product(ALL_SIGN_SETS, repeat=n):
+                W = SignSetMatrix((row,))
+                for tau in itertools.product((-1, 0, 1), repeat=n):
+                    for rho in ((-1,), (0,), (1,)):
+                        assert concordant_pair(rho, tau, W) == \
+                            set_concordant_pair(rho, tau, W), (row, tau, rho)
+
+    def test_seeded_matrices(self):
+        rng = random.Random(16)
+        for r, n in [(3, 4)] * 100 + [(4, 5)] * 100:
+            W = SignSetMatrix_random(rng, r, n)
+            for _ in range(150):
+                rho = tuple(rng.choice((-1, 0, 1)) for _ in range(r))
+                tau = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+                assert concordant_pair(sv(*rho), tau, W) == \
+                    set_concordant_pair(rho, tau, W), (W, rho, tau)
+
+    def test_dimension_mismatch(self):
+        W = parse_signsets_text("+ -")
+        with pytest.raises(ValueError):
+            concordant_pair((1,), (1, 1, 1), W)
+        with pytest.raises(ValueError):
+            concordant_pair((1, 0), (1, 1), W)
 
 
 class TestPairsAndConcordance:

@@ -14,11 +14,10 @@ from injcheck.signs import (
     sigma,
     sign_of,
     sign_orthogonal,
-    signset_row_orthogonal,
     signset_row_orthogonal_witness,
 )
 
-from oracles import ALL_SIGN_SETS, all_sign_vectors
+from oracles import ALL_SIGN_SETS, all_sign_vectors, signset_row_orthogonal
 
 F = Fraction
 
