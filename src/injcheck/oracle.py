@@ -19,8 +19,9 @@ picks the screen and the repair once, before the loop:
 
 * square: |det| / prod ||row_i||; the determinant is affine in each single
   atom (every atom appears in one row, one column, or one entry), so a near
-  miss is finished off by moving one atom to the exact root of two exact
-  evaluations, if that root stays inside its domain;
+  miss is finished off by moving one atom to its exact root, if that root
+  stays inside its domain; one exact elimination gives the determinant's
+  slope in every atom by Jacobi's formula;
 * tall: sigma_min / sigma_max; a candidate is kept when its exact kernel is
   nontrivial.
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,7 +59,7 @@ from .injectivity import (
     effective_parts,
     witness_from_aug_member,
 )
-from .linalg import RationalMatrix, determinant, kernel_basis
+from .linalg import RationalMatrix, _eliminate, determinant, integer_row, kernel_basis
 
 _ZERO = Fraction(0)
 _MAGNITUDE = 9              # positive parameters drawn as p/q, p <= magnitude^2, q <= magnitude
@@ -73,9 +75,10 @@ class OracleConfig:
     max_exact_attempts: int = 64
 
     def __post_init__(self):
-        for name in ("trials", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"OracleConfig.{name} must be >= 0, got {getattr(self, name)}")
+        for name, least in (("trials", 0), ("seed", 0), ("batch", 1), ("max_exact_attempts", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"OracleConfig.{name} must be >= {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,17 @@ class _CompiledGrid:
                 row.append(terms)
             self.entries.append(row)
 
+    @cached_property
+    def slopes(self) -> list[list[tuple]]:
+        """Per atom, in `names` order: (i, j, dM_ij/da) for each entry that
+        holds the atom. Every entry has degree at most 1 in each atom."""
+        slopes = {name: [] for name in self.names}
+        for i, row in enumerate(self.view.grid):
+            for j, entry in enumerate(row):
+                for name in entry.atoms():
+                    slopes[name].append((i, j, entry.split(name)[0]))
+        return [slopes[name] for name in self.names]
+
     def sample(self, nprng, T: int) -> np.ndarray:
         """(T, n_atoms) float atom values, each inside its domain."""
         cols = []
@@ -277,39 +291,37 @@ def _sigma_ratio(mats: np.ndarray) -> np.ndarray:
     return svals[:, -1] / np.maximum(svals[:, 0], 1e-30)
 
 
-def _exact_det_at(view, assignment: dict) -> Fraction:
-    """Exact determinant of the grid at an assignment, without the member
-    builder's domain validation (slope probes step outside domains)."""
-    entries = [[view.grid[i][j].evaluate(assignment) for j in range(view.cols)]
-               for i in range(view.rows)]
-    return determinant(RationalMatrix(view.rows, view.cols, entries))
-
-
 def _root_solve(grid: _CompiledGrid, assignment: dict) -> Optional[Member]:
     """Move one atom to make the augmented determinant exactly zero.
 
-    The determinant is affine in each single atom, so two exact evaluations
-    determine the root. Returns the singular member or None.
+    One fraction-free elimination of the int rows [s_i*M_i | e_i] of the
+    member M puts a pivot in the identity block when M is singular (then M is
+    returned), and otherwise leaves R = d * (SM)^-1 there, S = diag(s_i). det
+    is affine in each atom a with slope det M * tr(M^-1 dM/da) (Jacobi's
+    formula), so its root is a - d / g_a, g_a = sum R[j][i] * s_i * dM_ij/da.
+    The first root inside its atom's domain whose member has determinant 0
+    gives the singular member; None when there is none.
     """
     view = grid.view
-    d0 = _exact_det_at(view, assignment)
-    if d0 == 0:
+    n = view.rows
+    work, scales = [], []
+    for i, row in enumerate(view.grid):
+        ints, s = integer_row([entry.evaluate(assignment) for entry in row])
+        work.append(ints + [0] * i + [1] + [0] * (n - 1 - i))
+        scales.append(s)
+    pivots, d, _ = _eliminate(work)
+    if pivots[-1] >= n:
         return view.build_member(assignment)
-    for name in grid.names:
-        base = assignment[name]
-        shifted = dict(assignment)
-        shifted[name] = base + 1
-        d1 = _exact_det_at(view, shifted)
-        alpha = d1 - d0
-        if alpha == 0:
+    for name, slope in zip(grid.names, grid.slopes):
+        g = sum(work[j][n + i] * scales[i] * dm.evaluate(assignment) for i, j, dm in slope)
+        if g == 0:
             continue
-        root = base - d0 / alpha
+        root = assignment[name] - d / g
         if not view.atoms[name].domain.contains(root):
             continue
-        done = dict(assignment)
-        done[name] = root
-        if _exact_det_at(view, done) == 0:
-            return view.build_member(done)
+        member = view.build_member({**assignment, name: root})
+        if determinant(member.matrix) == 0:
+            return member
     return None
 
 

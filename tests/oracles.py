@@ -4,9 +4,10 @@ These deliberately avoid the library's own combinatorial shortcuts: sign-set
 concordance is re-decided with one exact feasibility problem per row, and
 subspace sign vectors are re-enumerated by solving one feasibility problem
 per candidate.  Slow, but a second opinion.  The rational phase-1 simplex,
-the rational eliminations, products and elementary vectors, and the set-based
-concordance test are kept here as the references for the integer tableau, the
-int-row core and the bit-mask concordance the library runs.
+the rational eliminations, products and elementary vectors, the set-based
+concordance test and the falsifier's finite-difference repair are kept here
+as the references for the integer tableau, the int-row core, the bit-mask
+concordance and the one-elimination repair the library runs.
 """
 
 import itertools
@@ -175,6 +176,35 @@ def fraction_determinant(M):
                 f = work[i][c] * inv
                 work[i] = [a - f * b for a, b in zip(work[i], lead)]
     return det
+
+
+def finite_difference_root_solve(grid, assignment):
+    """The falsifier's exact repair by finite differences, the reference for
+    `injcheck.oracle._root_solve`: the Fraction determinant of the grid at the
+    assignment, then per atom one at the atom moved by 1 and one at the
+    secant root. Returns the member at the first exact root inside its atom's
+    domain (or at the assignment itself when singular), or None."""
+    view = grid.view
+
+    def det_at(values):
+        return fraction_determinant(RationalMatrix(
+            view.rows, view.cols, [[entry.evaluate(values) for entry in row] for row in view.grid]))
+
+    d0 = det_at(assignment)
+    if d0 == 0:
+        return view.build_member(assignment)
+    for name in grid.names:
+        base = assignment[name]
+        alpha = det_at({**assignment, name: base + 1}) - d0
+        if alpha == 0:
+            continue
+        root = base - d0 / alpha
+        if not view.atoms[name].domain.contains(root):
+            continue
+        done = {**assignment, name: root}
+        if det_at(done) == 0:
+            return view.build_member(done)
+    return None
 
 
 def fraction_apply(M, v):

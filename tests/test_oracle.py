@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
+import injcheck.oracle
 from injcheck.classes import (
+    Augmented,
     Interval,
     Product,
     Scaled,
@@ -12,10 +16,12 @@ from injcheck.classes import (
     class_contains,
     parse_interval_box_text,
     parse_signsets_text,
+    symbolic_view,
 )
 from injcheck.injectivity import Problem, Status, check_injectivity
 from injcheck.linalg import RationalMatrix, Subspace
-from injcheck.oracle import OracleConfig, falsify, sample_member
+from injcheck.oracle import OracleConfig, _CompiledGrid, _hull, _root_solve, falsify, sample_member
+from oracles import finite_difference_root_solve
 
 F = Fraction
 
@@ -50,10 +56,12 @@ class TestSampling:
 
 
 class TestConfig:
-    @pytest.mark.parametrize("field", ["trials", "seed"])
+    @pytest.mark.parametrize("field", ["trials", "seed", "batch", "max_exact_attempts"])
     def test_negative_settings_name_their_field(self, field):
-        with pytest.raises(ValueError, match=f"OracleConfig.{field} must be >= 0"):
-            OracleConfig(**{field: -1})
+        # batch = 0 would never lower the trials left, and loop forever
+        least = 1 if field == "batch" else 0
+        with pytest.raises(ValueError, match=f"OracleConfig.{field} must be >= {least}"):
+            OracleConfig(**{field: least - 1})
 
     def test_zero_trials_search_nothing(self):
         problem = Problem(Interval(parse_interval_box_text("(0,inf) (0,inf)\n(0,inf) (0,inf)")),
@@ -174,3 +182,112 @@ class TestOracleAgainstVerdicts:
             verdict = check_injectivity(p)
             assert verdict.status is Status.INJECTIVE
             assert falsify(p, OracleConfig(trials=4000, seed=13)) is None
+
+
+def square_grid(cls, S):
+    """The falsifier's compiled grid of [Z; cls] for a square augmented view."""
+    view = symbolic_view(_hull(Augmented(S.kernel_rep(), cls)))
+    assert view.rows == view.cols == S.n
+    return _CompiledGrid(view)
+
+
+_INTERVAL_TOKENS = ("{0}", "{1}", "{-2}", "(0,inf)", "(-inf,0)", "[-1,2]", "[1,3]",
+                    "(-inf,inf)")
+_SIGN_TOKENS = ("+", "-", "0", "0+", "-0", "-+")
+
+
+def audit_shaped_classes(rng: random.Random):
+    """(class, S) pairs shaped like the falsify_audit pool, every augmented
+    view square: n x n Interval, sign sets, pattern and Scaled on the full
+    space, Scaled behind a left matrix, and (n-1) x n Scaled on a plane."""
+    def ints(rows, cols):
+        return M(*[[0 if rng.random() < 0.25 else rng.randint(-2, 2) for _ in range(cols)]
+                   for _ in range(rows)])
+
+    def grid(tokens, n):
+        return "\n".join(" ".join(rng.choice(tokens) for _ in range(n)) for _ in range(n))
+
+    for n in (2, 3):
+        full = Subspace.full(n)
+        yield Interval(parse_interval_box_text(grid(_INTERVAL_TOKENS, n))), full
+        yield SignSets(parse_signsets_text(grid(_SIGN_TOKENS, n))), full
+        yield SignPattern(tuple(tuple(rng.choice((1, -1, 0)) for _ in range(n))
+                                for _ in range(n))), full
+        yield Scaled(ints(n, n)), full
+        yield Product(ints(n, n + 1), Scaled(ints(n + 1, n))), full
+        yield Scaled(ints(n - 1, n)), Subspace.from_kernel_rep(M([1] * n))
+
+
+class TestRootSolve:
+    def test_matches_the_finite_difference_repair(self):
+        rng = random.Random(0)
+        nprng = np.random.default_rng(0)
+        outcomes = {"none": 0, "singular": 0, "moved": 0}
+        for _ in range(6):
+            for cls, S in audit_shaped_classes(rng):
+                grid = square_grid(cls, S)
+                if not grid.names:
+                    continue
+                for sample in grid.sample(nprng, 8):
+                    # snapping to halves also lands on singular members and
+                    # on atoms of slope 0
+                    for den in (2, 10 ** 6):
+                        assignment = grid.snap(sample, den)
+                        if assignment is None:
+                            continue
+                        got = _root_solve(grid, assignment)
+                        want = finite_difference_root_solve(grid, assignment)
+                        assert (got and got.to_payload()) == (want and want.to_payload()), (
+                            cls.describe(), assignment)
+                        if got is None:
+                            outcomes["none"] += 1
+                        elif got.matrix == grid.view.build_member(assignment).matrix:
+                            outcomes["singular"] += 1
+                        else:
+                            outcomes["moved"] += 1
+        assert all(outcomes.values()), outcomes
+
+    def test_atom_without_slope_is_skipped(self):
+        # det = v2, so v1 has slope 0 and the root moves v2 to 0
+        D = parse_interval_box_text("{1} (0,1)\n{0} (-1,1)")
+        grid = square_grid(Interval(D), Subspace.full(2))
+        assignment = {"v1": F(1, 2), "v2": F(1, 3)}
+        got = _root_solve(grid, assignment)
+        assert got.matrix == M([1, F(1, 2)], [0, 0])
+        assert got.to_payload() == finite_difference_root_solve(grid, assignment).to_payload()
+
+
+class TestRootSolveWork:
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"_eliminate": 0, "determinant": 0}
+
+        def counting(name):
+            inner = getattr(injcheck.oracle, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return inner(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(injcheck.oracle, name, counting(name))
+        return calls
+
+    def test_one_elimination_and_no_determinant_without_a_root(self, monkeypatch):
+        cls = Scaled(M([1, 1], [2, 1]))
+        assert check_injectivity(Problem(cls, Subspace.full(2))).status is Status.INJECTIVE
+        grid = square_grid(cls, Subspace.full(2))
+        assignment = {name: F(k + 2, 3) for k, name in enumerate(grid.names)}
+        calls = self.count_calls(monkeypatch)
+        assert _root_solve(grid, assignment) is None
+        assert calls == {"_eliminate": 1, "determinant": 0}
+
+    def test_one_more_determinant_at_an_in_domain_root(self, monkeypatch):
+        # det = v1 - 1, zero at v1 = 1 inside (-inf, inf)
+        D = parse_interval_box_text("(-inf,inf) {1}\n{1} {1}")
+        grid = square_grid(Interval(D), Subspace.full(2))
+        calls = self.count_calls(monkeypatch)
+        member = _root_solve(grid, {"v1": F(3)})
+        assert member.matrix == M([1, 1], [1, 1])
+        assert calls == {"_eliminate": 1, "determinant": 1}
