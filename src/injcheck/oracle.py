@@ -13,9 +13,9 @@ interval hull (d_of_signsets), which holds exactly the same matrices. A wide
 view (fewer rows than unknowns) makes every member singular and a view
 without atoms is a single matrix, so one exact member decides both. Any other
 view runs one search loop: draw a batch of atom values, screen the float
-members, snap the best candidates to small rationals inside their domains,
-repair them exactly, and return the first witness. The shape of the view
-picks the screen and the repair once, before the loop:
+members, snap the best candidates to rationals p/q inside their domains and
+repair them on the ints of one term table per view, building only a returned
+member in Fractions. The shape of the view picks the screen and the repair:
 
 * square: |det| / prod ||row_i||; the determinant is affine in each single
   atom (every atom appears in one row, one column, or one entry), so a near
@@ -33,7 +33,9 @@ zero of a sign set, has probability zero under a continuous draw.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -59,7 +61,7 @@ from .injectivity import (
     effective_parts,
     witness_from_aug_member,
 )
-from .linalg import RationalMatrix, _eliminate, determinant, integer_row, kernel_basis
+from .linalg import RationalMatrix, _eliminate, determinant, kernel_basis
 
 _ZERO = Fraction(0)
 _MAGNITUDE = 9              # positive parameters drawn as p/q, p <= magnitude^2, q <= magnitude
@@ -90,11 +92,8 @@ def _positive_fraction(rng: random.Random, magnitude: int) -> Fraction:
 
 
 def _sample_entry(e: IntervalEntry, rng: random.Random, magnitude: int) -> Fraction:
-    if e.is_point:
-        return e.lower
     if e.punctured:
-        half = rng.choice((-1, 1))
-        if half < 0:
+        if rng.choice((-1, 1)) < 0:
             e = IntervalEntry(e.lower, _ZERO, e.lower_open, True, False)
         else:
             e = IntervalEntry(_ZERO, e.upper, True, e.upper_open, False)
@@ -167,8 +166,6 @@ def _float_domain_sample(e: IntervalEntry, u: np.ndarray, pick: np.ndarray) -> n
     the half of a punctured entry. An entry without distinguished points (open
     and excluding 0) maps u and pick exactly as they come.
     """
-    if e.is_point:
-        return np.full_like(u, float(e.lower))
     points = _distinguished_points(e)
     share = _POINT_SHARE * len(points)
     x = _float_spread(e, u, (pick - share) / (1.0 - share))
@@ -197,90 +194,134 @@ def _float_spread(e: IntervalEntry, u: np.ndarray, pick: np.ndarray) -> np.ndarr
     return lo + (hi - lo) * (0.02 + 0.96 * u)
 
 
-def _snap_into(e: IntervalEntry, x: float, snap_den: int) -> Fraction:
-    """Nearest small rational to x that lies inside the entry."""
-    f = Fraction(x).limit_denominator(snap_den)
-    if e.contains(f):
-        return f
+def _limit_denominator(num: int, den: int, max_den: int) -> tuple[int, int]:
+    """(p, q) of Fraction(num, den).limit_denominator(max_den) for num/den in
+    lowest terms, den > 0, on ints: the same continued-fraction loop, then the
+    closer bound (p1/q1 on a tie) by comparing d/(q1*den) with 1/(2*q1*q)."""
+    if den <= max_den:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (max_den - q0) // q1
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _within(e: IntervalEntry, p: int, q: int) -> bool:
+    """e.contains(Fraction(p, q)), q > 0, on ints: an open end needs a gap >= 1."""
+    lo, hi = e.lower, e.upper
+    return (not (e.punctured and p == 0)
+            and (lo is None or p * lo.denominator - lo.numerator * q >= e.lower_open)
+            and (hi is None or hi.numerator * q - p * hi.denominator >= e.upper_open))
+
+
+def _snap_into(e: IntervalEntry, x: float, snap_den: int) -> tuple[int, int]:
+    """(p, q): the nearest small rational to x inside the entry; ValueError
+    or OverflowError for nan and inf."""
+    p, q = _limit_denominator(*x.as_integer_ratio(), snap_den)
+    if _within(e, p, q):
+        return p, q
     # nudge toward the interior
     bounded = e.lower is not None and e.upper is not None
     step = (e.upper - e.lower) / 64 if bounded else Fraction(1, 64)
-    for end, inward in ((e.lower, step), (e.upper, -step)):
-        if end is not None and e.contains(end + inward):
-            return end + inward
-    return e.pick_point()
+    f = next((end + inward for end, inward in ((e.lower, step), (e.upper, -step))
+              if end is not None and e.contains(end + inward)), e.pick_point())
+    return f.numerator, f.denominator
 
 
 class _CompiledGrid:
-    """Vectorized float evaluation of a symbolic augmented grid, with its
-    atoms in one fixed (sorted) order."""
+    """One term table of a symbolic augmented grid (atoms sorted), for float
+    batches and for the ints of a snapped point, a tuple of (p, q) per atom."""
 
     def __init__(self, view):
         self.view = view
         self.names = sorted(view.atoms)
-        self.index = {n: i for i, n in enumerate(self.names)}
-        # each entry: list of (coeff, [atom indices with multiplicity])
-        self.entries = []
-        for i in range(view.rows):
-            row = []
-            for j in range(view.cols):
-                terms = []
-                for mono, coeff in view.grid[i][j].sorted_terms():
-                    idx = []
-                    for name, power in mono:
-                        idx.extend([self.index[name]] * power)
-                    terms.append((float(coeff), idx))
-                row.append(terms)
-            self.entries.append(row)
+        self.domains = [view.atoms[name].domain for name in self.names]
+        index = {name: k for k, name in enumerate(self.names)}
+        # (i, j, coeff, float coeff, atom indices with repeats)
+        self.terms = []
+        for i, row in enumerate(view.grid):
+            for j, entry in enumerate(row):
+                for mono, coeff in entry.sorted_terms():
+                    atoms = [index[name] for name, power in mono for _ in range(power)]
+                    self.terms.append((i, j, coeff, float(coeff), atoms))
 
     @cached_property
-    def slopes(self) -> list[list[tuple]]:
-        """Per atom, in `names` order: (i, j, dM_ij/da) for each entry that
-        holds the atom. Every entry has degree at most 1 in each atom."""
-        slopes = {name: [] for name in self.names}
-        for i, row in enumerate(self.view.grid):
-            for j, entry in enumerate(row):
-                for name in entry.atoms():
-                    slopes[name].append((i, j, entry.split(name)[0]))
-        return [slopes[name] for name in self.names]
+    def int_tables(self) -> tuple[list, list]:
+        """(terms, slopes). Row i times its coefficients' lcm and q_k^E per atom
+        k (E: the row's top power of k) is s_i * M_i; entry (i, j) sums
+        int coeff * prod values[f] over its terms (i, j, int coeff, factors),
+        values = all p, then all q. slopes[a]: the terms with a, p_a made q_a,
+        which sum to s_i * dM_ij/da (entries have degree <= 1 in a)."""
+        m = len(self.names)
+        top = [Counter() for _ in range(self.view.rows)]
+        lcm = [1] * self.view.rows
+        for i, _, coeff, _, atoms in self.terms:
+            top[i] |= Counter(atoms)
+            lcm[i] = math.lcm(lcm[i], coeff.denominator)
+        terms = [(i, j, coeff.numerator * (lcm[i] // coeff.denominator),
+                  atoms + [m + k for k in (top[i] - Counter(atoms)).elements()])
+                 for i, j, coeff, _, atoms in self.terms]
+        slopes = [[] for _ in self.names]
+        for i, j, c, factors in terms:
+            for k, a in enumerate(factors):
+                if a < m:
+                    slopes[a].append((i, j, c, factors[:k] + [m + a] + factors[k + 1:]))
+        return terms, slopes
+
+    def assignment(self, point: tuple) -> dict:
+        return {name: Fraction(p, q) for name, (p, q) in zip(self.names, point)}
 
     def sample(self, nprng, T: int) -> np.ndarray:
         """(T, n_atoms) float atom values, each inside its domain."""
         cols = []
-        for name in self.names:
+        for e in self.domains:
             u = nprng.uniform(1e-4, 1.0 - 1e-4, size=T)
             pick = nprng.uniform(size=T)
-            cols.append(_float_domain_sample(self.view.atoms[name].domain, u, pick))
+            cols.append(_float_domain_sample(e, u, pick))
         return np.stack(cols, axis=1)
 
     def matrices(self, samples: np.ndarray) -> np.ndarray:
         """samples: (T, n_atoms) -> (T, rows, cols) float matrices."""
         T = samples.shape[0]
         out = np.zeros((T, self.view.rows, self.view.cols))
-        for i in range(self.view.rows):
-            for j in range(self.view.cols):
-                acc = np.zeros(T)
-                for coeff, idx in self.entries[i][j]:
-                    term = np.full(T, coeff)
-                    for k in idx:
-                        term = term * samples[:, k]
-                    acc += term
-                out[:, i, j] = acc
+        for i, j, _, coeff, atoms in self.terms:
+            term = np.full(T, coeff)
+            for k in atoms:
+                term = term * samples[:, k]
+            out[:, i, j] += term
         return out
 
-    def snap(self, sample: np.ndarray, snap_den: int) -> Optional[dict]:
-        """An exact assignment with every atom snapped into its domain, or
-        None when some sampled float has no rational to snap to (inf, nan)."""
+    def snap(self, sample: np.ndarray, snap_den: int) -> Optional[tuple]:
+        """The point with every atom snapped into its domain, or None when
+        some sampled float has no rational to snap to (inf, nan)."""
         try:
-            return {name: _snap_into(self.view.atoms[name].domain, float(sample[k]), snap_den)
-                    for k, name in enumerate(self.names)}
+            return tuple(_snap_into(e, x, snap_den) for e, x in zip(self.domains, sample.tolist()))
         except (ValueError, OverflowError):
             return None
 
 
 def _det_ratio(mats: np.ndarray) -> np.ndarray:
-    """|det| / prod ||row_i|| of square float members."""
-    dets = np.linalg.det(mats)
+    """|det| / prod ||row_i|| of square float members; the determinant is
+    a, ad - bc or the cofactor expansion along the first row up to 3x3."""
+    n = mats.shape[1]
+    if n == 1:
+        dets = mats[:, 0, 0]
+    elif n == 2:
+        dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+    elif n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = mats.transpose(1, 2, 0)
+        dets = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    else:
+        dets = np.linalg.det(mats)
     norms = np.linalg.norm(mats, axis=2)
     return np.abs(dets) / np.prod(np.maximum(norms, 1e-30), axis=1)
 
@@ -291,43 +332,42 @@ def _sigma_ratio(mats: np.ndarray) -> np.ndarray:
     return svals[:, -1] / np.maximum(svals[:, 0], 1e-30)
 
 
-def _root_solve(grid: _CompiledGrid, assignment: dict) -> Optional[Member]:
+def _root_solve(grid: _CompiledGrid, point: tuple) -> Optional[Member]:
     """Move one atom to make the augmented determinant exactly zero.
 
     One fraction-free elimination of the int rows [s_i*M_i | e_i] of the
-    member M puts a pivot in the identity block when M is singular (then M is
-    returned), and otherwise leaves R = d * (SM)^-1 there, S = diag(s_i). det
-    is affine in each atom a with slope det M * tr(M^-1 dM/da) (Jacobi's
-    formula), so its root is a - d / g_a, g_a = sum R[j][i] * s_i * dM_ij/da.
-    The first root inside its atom's domain whose member has determinant 0
-    gives the singular member; None when there is none.
+    member M at the point puts a pivot in the identity block when M is
+    singular (then M is returned), and otherwise leaves R = d * (SM)^-1
+    there, S = diag(s_i). By Jacobi's formula det is affine in each atom
+    a = p/q with root (p*g - d*q) / (q*g), g = sum R[j][i] * s_i * dM_ij/da.
+    The first root inside its domain whose member has determinant 0 gives
+    the singular member; None when there is none.
     """
-    view = grid.view
-    n = view.rows
-    work, scales = [], []
-    for i, row in enumerate(view.grid):
-        ints, s = integer_row([entry.evaluate(assignment) for entry in row])
-        work.append(ints + [0] * i + [1] + [0] * (n - 1 - i))
-        scales.append(s)
+    view, n = grid.view, grid.view.rows
+    values = [p for p, _ in point] + [q for _, q in point]
+    terms, slopes = grid.int_tables
+    work = [[0] * (n + i) + [1] + [0] * (n - 1 - i) for i in range(n)]
+    for i, j, c, factors in terms:
+        work[i][j] += math.prod(map(values.__getitem__, factors), start=c)
     pivots, d, _ = _eliminate(work)
     if pivots[-1] >= n:
-        return view.build_member(assignment)
-    for name, slope in zip(grid.names, grid.slopes):
-        g = sum(work[j][n + i] * scales[i] * dm.evaluate(assignment) for i, j, dm in slope)
-        if g == 0:
+        return view.build_member(grid.assignment(point))
+    for a, slope in enumerate(slopes):
+        g = sum(math.prod(map(values.__getitem__, factors), start=c * work[j][n + i])
+                for i, j, c, factors in slope)
+        p, q = point[a]
+        num = p * g - d * q
+        if g == 0 or not _within(grid.domains[a], num if g > 0 else -num, q * abs(g)):
             continue
-        root = assignment[name] - d / g
-        if not view.atoms[name].domain.contains(root):
-            continue
-        member = view.build_member({**assignment, name: root})
+        member = view.build_member({**grid.assignment(point), grid.names[a]: Fraction(num, q * g)})
         if determinant(member.matrix) == 0:
             return member
     return None
 
 
-def _kernel_check(grid: _CompiledGrid, assignment: dict) -> Optional[Member]:
-    """The member at the assignment if its exact kernel is nontrivial."""
-    member = grid.view.build_member(assignment)
+def _kernel_check(grid: _CompiledGrid, point: tuple) -> Optional[Member]:
+    """The member at the point if its exact kernel is nontrivial."""
+    member = grid.view.build_member(grid.assignment(point))
     return member if kernel_basis(member.matrix).cols else None
 
 
@@ -383,8 +423,8 @@ def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[Si
                 if attempts >= budget:
                     break
                 attempts += 1
-            assignment = grid.snap(samples[t], _SNAP_DENOMINATOR)
-            member = None if assignment is None else repair(grid, assignment)
+            point = grid.snap(samples[t], _SNAP_DENOMINATOR)
+            member = None if point is None else repair(grid, point)
             if member is not None:
                 return _witness(problem, A, cls, member)
     return None

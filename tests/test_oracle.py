@@ -15,12 +15,22 @@ from injcheck.classes import (
     SignSets,
     class_contains,
     parse_interval_box_text,
+    parse_interval_token,
     parse_signsets_text,
     symbolic_view,
 )
 from injcheck.injectivity import Problem, Status, check_injectivity
 from injcheck.linalg import RationalMatrix, Subspace
-from injcheck.oracle import OracleConfig, _CompiledGrid, _hull, _root_solve, falsify, sample_member
+from injcheck.oracle import (
+    OracleConfig,
+    _CompiledGrid,
+    _hull,
+    _limit_denominator,
+    _root_solve,
+    _snap_into,
+    falsify,
+    sample_member,
+)
 from oracles import finite_difference_root_solve
 
 F = Fraction
@@ -218,43 +228,108 @@ def audit_shaped_classes(rng: random.Random):
         yield Scaled(ints(n - 1, n)), Subspace.from_kernel_rep(M([1] * n))
 
 
+def fractional_classes(rng: random.Random):
+    """(class, S) pairs whose square augmented views have coefficients with
+    denominators other than 1, so rows get different int scales, and
+    products whose row-scaling atoms span several rows of the view."""
+    def fracs(rows, cols):
+        return M(*[[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(cols)]
+                   for _ in range(rows)])
+
+    tokens = ("{1/2}", "{-2/3}", "{5/3}", "[1/3,5/2]", "(0,inf)", "(-inf,inf)", "(-1/2,7/3)")
+    for n in (2, 3):
+        full = Subspace.full(n)
+        yield Scaled(fracs(n, n)), full
+        yield Product(fracs(n, n + 1), Scaled(fracs(n + 1, n))), full
+        yield Product(Scaled(fracs(n, n)), Scaled(fracs(n, n))), full
+        yield Interval(parse_interval_box_text("\n".join(
+            " ".join(rng.choice(tokens) for _ in range(n)) for _ in range(n)))), full
+        yield Scaled(fracs(n - 1, n)), Subspace.from_kernel_rep(M([F(1, 2), F(-2, 3), F(3, 4)][:n]))
+
+
 class TestRootSolve:
     def test_matches_the_finite_difference_repair(self):
         rng = random.Random(0)
         nprng = np.random.default_rng(0)
-        outcomes = {"none": 0, "singular": 0, "moved": 0}
-        for _ in range(6):
-            for cls, S in audit_shaped_classes(rng):
-                grid = square_grid(cls, S)
-                if not grid.names:
-                    continue
-                for sample in grid.sample(nprng, 8):
-                    # snapping to halves also lands on singular members and
-                    # on atoms of slope 0
-                    for den in (2, 10 ** 6):
-                        assignment = grid.snap(sample, den)
-                        if assignment is None:
-                            continue
-                        got = _root_solve(grid, assignment)
-                        want = finite_difference_root_solve(grid, assignment)
-                        assert (got and got.to_payload()) == (want and want.to_payload()), (
-                            cls.describe(), assignment)
-                        if got is None:
-                            outcomes["none"] += 1
-                        elif got.matrix == grid.view.build_member(assignment).matrix:
-                            outcomes["singular"] += 1
-                        else:
-                            outcomes["moved"] += 1
-        assert all(outcomes.values()), outcomes
+        for family in (audit_shaped_classes, fractional_classes):
+            outcomes = {"none": 0, "singular": 0, "moved": 0}
+            for _ in range(6):
+                for cls, S in family(rng):
+                    grid = square_grid(cls, S)
+                    if not grid.names:
+                        continue
+                    for sample in grid.sample(nprng, 8):
+                        # snapping to halves also lands on singular members
+                        # and on atoms of slope 0
+                        for den in (2, 10 ** 6):
+                            point = grid.snap(sample, den)
+                            if point is None:
+                                continue
+                            assignment = grid.assignment(point)
+                            got = _root_solve(grid, point)
+                            want = finite_difference_root_solve(grid, assignment)
+                            assert (got and got.to_payload()) == (want and want.to_payload()), (
+                                cls.describe(), assignment)
+                            if got is None:
+                                outcomes["none"] += 1
+                            elif got.matrix == grid.view.build_member(assignment).matrix:
+                                outcomes["singular"] += 1
+                            else:
+                                outcomes["moved"] += 1
+            assert all(outcomes.values()), (family.__name__, outcomes)
 
     def test_atom_without_slope_is_skipped(self):
         # det = v2, so v1 has slope 0 and the root moves v2 to 0
         D = parse_interval_box_text("{1} (0,1)\n{0} (-1,1)")
         grid = square_grid(Interval(D), Subspace.full(2))
         assignment = {"v1": F(1, 2), "v2": F(1, 3)}
-        got = _root_solve(grid, assignment)
+        got = _root_solve(grid, ((1, 2), (1, 3)))
         assert got.matrix == M([1, F(1, 2)], [0, 0])
         assert got.to_payload() == finite_difference_root_solve(grid, assignment).to_payload()
+
+
+class TestSnap:
+    ENTRIES = [parse_interval_token(t) for t in (
+        "(0,inf)", "[0,inf)", "(-inf,0)", "(-inf,inf)", "[-1,2]", "(-1,2)", "(1/3,5/2]",
+        "[1/3,5/2)", "(-inf,0)u(0,inf)", "(-2,0)u(0,5]", "[-1/7,0)u(0,1/7]")]
+
+    @staticmethod
+    def floats():
+        rng = random.Random(5)
+        xs = [0.0, -0.0, 0.5, -0.25, 3.0, 2.0 ** -20, -(2.0 ** 40), 1 / 3, -1 / 7, 1 / 7, 2.5,
+              -1.0, 2.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300,
+              0.1, 3.141592653589793, 1e-7, -1e-6]
+        for _ in range(400):
+            xs.append(rng.uniform(-3, 3) * 10.0 ** rng.randint(-9, 9))
+        return xs
+
+    def test_limit_denominator_matches_fraction(self):
+        for den in (1, 2, 7, 10 ** 6):
+            for x in self.floats():
+                f = Fraction(x).limit_denominator(den)
+                assert _limit_denominator(*x.as_integer_ratio(), den) == (f.numerator, f.denominator), (x, den)
+
+    def test_snap_matches_fraction_then_contains(self):
+        nudged = 0
+        for den in (1, 2, 10 ** 6):
+            for e in self.ENTRIES:
+                for x in self.floats():
+                    got = _snap_into(e, x, den)
+                    f = Fraction(x).limit_denominator(den)
+                    if e.contains(f):
+                        assert got == (f.numerator, f.denominator), (str(e), x, den)
+                    else:
+                        nudged += 1
+                        assert e.contains(F(*got)), (str(e), x, den)
+        assert nudged
+
+    def test_nonfinite_floats_snap_to_none(self):
+        D = parse_interval_box_text("(0,inf) (-inf,inf)\n[-1,2] (-1,0)u(0,1)")
+        grid = square_grid(Interval(D), Subspace.full(2))
+        assert grid.snap(np.array([0.5, -3.0, 1.25, 0.75]), 10 ** 6) == (
+            (1, 2), (-3, 1), (5, 4), (3, 4))
+        for bad in (float("inf"), float("-inf"), float("nan")):
+            assert grid.snap(np.array([0.5, bad, 1.25, 0.75]), 10 ** 6) is None
 
 
 class TestRootSolveWork:
@@ -278,9 +353,9 @@ class TestRootSolveWork:
         cls = Scaled(M([1, 1], [2, 1]))
         assert check_injectivity(Problem(cls, Subspace.full(2))).status is Status.INJECTIVE
         grid = square_grid(cls, Subspace.full(2))
-        assignment = {name: F(k + 2, 3) for k, name in enumerate(grid.names)}
+        point = tuple((k + 2, 3) for k in range(len(grid.names)))
         calls = self.count_calls(monkeypatch)
-        assert _root_solve(grid, assignment) is None
+        assert _root_solve(grid, point) is None
         assert calls == {"_eliminate": 1, "determinant": 0}
 
     def test_one_more_determinant_at_an_in_domain_root(self, monkeypatch):
@@ -288,6 +363,6 @@ class TestRootSolveWork:
         D = parse_interval_box_text("(-inf,inf) {1}\n{1} {1}")
         grid = square_grid(Interval(D), Subspace.full(2))
         calls = self.count_calls(monkeypatch)
-        member = _root_solve(grid, {"v1": F(3)})
+        member = _root_solve(grid, ((3, 1),))
         assert member.matrix == M([1, 1], [1, 1])
         assert calls == {"_eliminate": 1, "determinant": 1}
