@@ -7,15 +7,27 @@ per candidate.  Slow, but a second opinion.  The rational phase-1 simplex,
 the rational eliminations, products and elementary vectors, the set-based
 concordance test and the falsifier's finite-difference repair are kept here
 as the references for the integer tableau, the int-row core, the bit-mask
-concordance and the one-elimination repair the library runs.
+concordance and the one-elimination repair the library runs. The interval
+sweep with one LP per tau is the reference for the sign screen in front of
+it, and the `numpy.linalg.norm` row norms for the falsifier's square score.
 """
 
 import itertools
 from fractions import Fraction
 
-from injcheck.classes import SignSetMatrix
+import numpy as np
+
+from injcheck.classes import Member, SignSetMatrix
 from injcheck.feasibility import strict_sign_feasible
+from injcheck.limits import DEFAULT_CAPS
 from injcheck.linalg import RationalMatrix, Subspace, kernel_basis, rat_vector
+from injcheck.signroute import (
+    SignRouteHit,
+    SignRouteResult,
+    interval_kernel_feasible,
+    interval_member_through,
+    subspace_sign_vectors,
+)
 from injcheck.signs import SignVector, _achievable_products, _entries
 
 ALL_SIGN_SETS = (
@@ -286,3 +298,25 @@ def set_concordant_pair(rho, tau, W: SignSetMatrix) -> bool:
         elif not any(tau_e[j] and rho_e[i] * tau_e[j] in row[j] for j in range(W.cols)):
             return False
     return True
+
+
+def unscreened_interval_sweep(D, S: Subspace, A=None, caps=DEFAULT_CAPS) -> SignRouteResult:
+    """`injcheck.signroute.sign_route` on Interval(D) without the sign screen:
+    one exact feasibility question per tau of sigma(S), in sweep order."""
+    taus = subspace_sign_vectors(S, caps)
+    diag = {"taus": len(taus), "pairs_checked": 0}
+    for tau in taus:
+        diag["pairs_checked"] += 1
+        got = interval_kernel_feasible(D, S, tau, A, caps)
+        if got is not None:
+            z, u = got
+            member = Member(interval_member_through(D, z, u), "interval")
+            return SignRouteResult(True, injective=False,
+                                   hit=SignRouteHit(member, z, tau, None), diagnostics=diag)
+    return SignRouteResult(True, injective=True, diagnostics=diag)
+
+
+def norm_row_scale(mats: np.ndarray) -> np.ndarray:
+    """prod ||row_i|| by `numpy.linalg.norm` and `numpy.prod`, the reference
+    for the column-by-column sums of `injcheck.oracle._row_scale`."""
+    return np.prod(np.maximum(np.linalg.norm(mats, axis=2), 1e-30), axis=1)

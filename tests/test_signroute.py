@@ -11,6 +11,7 @@ from oracles import (
     fraction_elementary,
     lp_concordant,
     set_concordant_pair,
+    unscreened_interval_sweep,
 )
 
 from injcheck.classes import (
@@ -24,6 +25,7 @@ from injcheck.classes import (
     parse_signsets_text,
 )
 from injcheck import feasibility, signroute
+from injcheck.injectivity import Problem, Status, check_injectivity, verify_certificate
 from injcheck.limits import Caps, CapExceeded
 from injcheck.linalg import RationalMatrix, Subspace
 from injcheck.signroute import (
@@ -602,6 +604,91 @@ class TestNoLpOutsideScaledPairs:
             verdicts.add(sign_route(cls, S, A).injective)
             assert len(lps) == len(pairs)
         assert verdicts == {True, False} and len(pairs) > 0
+
+
+# one token per kind of interval entry: {0}, nonzero points, closed, open,
+# half-lines and punctured
+_ENTRY_TOKENS = ("{0}", "{1}", "{-2}", "{1/2}", "[0,1]", "[-1,2]", "[1,3]", "[-2,-1]",
+                 "(0,1)", "(-1,1)", "(-3,-1)", "(0,inf)", "(-inf,0)", "[0,inf)", "(-inf,0]",
+                 "(1,inf)", "(-inf,2]", "(-inf,inf)", "(-inf,0)u(0,inf)", "(-2,0)u(0,3]")
+
+
+def _random_interval_problems(rng, count):
+    """(box, S, left matrix or None) over every entry kind; S is the full
+    space or a random image, and every other problem has a left matrix."""
+    for k in range(count):
+        n, rows = rng.randint(1, 3), rng.randint(1, 3)
+        D = parse_interval_box_text("\n".join(
+            " ".join(rng.choice(_ENTRY_TOKENS) for _ in range(n)) for _ in range(rows)))
+        A = None
+        if k % 2:
+            left = rng.randint(1, 2)
+            A = RationalMatrix(left, rows, [[rng.randint(-2, 2) for _ in range(rows)]
+                                            for _ in range(left)])
+        yield D, _random_subspace(rng, n), A
+
+
+def _screen_passes(D, A, tau):
+    """Does some rho the left side sends to 0 pass the set-based concordance
+    test of the box's sign hull against tau?"""
+    hull = SignSetMatrix(tuple(tuple(e.sign_set() for e in row) for row in D.entries))
+    return any(set_concordant_pair(rho, tau, hull) for rho in _brute_left_zero_signs(D.rows, A))
+
+
+class TestIntervalScreen:
+    def test_screened_sweep_matches_one_lp_per_tau(self):
+        verdicts, full, skipped = set(), 0, 0
+        for k, (D, S, A) in enumerate(_random_interval_problems(random.Random(23), 240)):
+            res = sign_route(Interval(D), S, A)
+            ref = unscreened_interval_sweep(D, S, A)
+            assert res.injective == ref.injective, k
+            assert res.diagnostics == ref.diagnostics, k
+            if not res.injective:
+                assert (res.hit.tau, res.hit.z) == (ref.hit.tau, ref.hit.z), k
+                assert res.hit.member.matrix == ref.hit.member.matrix, k
+            verdicts.add(res.injective)
+            full += S.dim == S.n
+            skipped += sum(not _screen_passes(D, A, tau)
+                           for tau in subspace_sign_vectors(S)[:res.diagnostics["pairs_checked"]])
+        assert verdicts == {True, False} and full > 0 and skipped > 0
+
+    def test_one_lp_per_tau_that_passes_the_screen(self, monkeypatch):
+        solved = []
+        original = signroute.interval_kernel_feasible
+        monkeypatch.setattr(signroute, "interval_kernel_feasible",
+                            lambda D, S, tau, *a: solved.append(tau) or original(D, S, tau, *a))
+        for k, (D, S, A) in enumerate(_random_interval_problems(random.Random(29), 200)):
+            solved.clear()
+            res = sign_route(Interval(D), S, A)
+            swept = subspace_sign_vectors(S)[:res.diagnostics["pairs_checked"]]
+            assert solved == [tau for tau in swept if _screen_passes(D, A, tau)], k
+
+    def test_readme_diagonal_solves_no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sign screen let a tau through to an LP")
+
+        monkeypatch.setattr(feasibility, "feasible_cone", refuse)
+        monkeypatch.setattr(signroute, "feasible_cone", refuse)
+        problem = Problem(Interval(parse_interval_box_text("(0,inf) (0,inf)\n(0,inf) (0,inf)")),
+                          Subspace.from_image(M([1], [1])))
+        verdict = check_injectivity(problem)
+        assert verdict.status is Status.INJECTIVE
+        assert verdict.diagnostics["sign_pairs_checked"] == 2
+        assert verify_certificate(verdict, problem)
+
+    def test_left_matrix_beyond_the_sign_cap_keeps_its_verdict(self):
+        # sigma(ker A) for a 1 x 13 A lies beyond sign_enum_dim = 12: the
+        # sweep runs one LP per tau instead of turning INCONCLUSIVE
+        D = parse_interval_box_text("\n".join(["(0,inf) [-1,1]"] * 13))
+        A = M([1] * 13)
+        res = sign_route(Interval(D), Subspace.full(2), A)
+        ref = unscreened_interval_sweep(D, Subspace.full(2), A)
+        assert res.injective is ref.injective is False
+        assert (res.hit.tau, res.hit.z, res.diagnostics) == (ref.hit.tau, ref.hit.z,
+                                                             ref.diagnostics)
+        assert res.hit.member.matrix == ref.hit.member.matrix
+        verdict = check_injectivity(Problem(Interval(D), Subspace.full(2), A))
+        assert verdict.status is Status.NOT_INJECTIVE
 
 
 class TestUnsupportedShapes:
