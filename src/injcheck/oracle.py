@@ -322,23 +322,8 @@ def _det_ratio(mats: np.ndarray) -> np.ndarray:
         dets = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     else:
         dets = np.linalg.det(mats)
-    return np.abs(dets) / _row_scale(mats)
-
-
-def _row_scale(mats: np.ndarray) -> np.ndarray:
-    """prod ||row_i|| (each norm at least 1e-30) of float members, summed and
-    multiplied column by column. Up to 7 columns this is bit for bit the
-    product of `numpy.linalg.norm` rows, which sums short rows in the same
-    order."""
-    n = mats.shape[2]
-    squares = mats[:, :, 0] * mats[:, :, 0]
-    for j in range(1, n):
-        squares += mats[:, :, j] * mats[:, :, j]
-    norms = np.maximum(np.sqrt(squares), 1e-30)
-    scale = norms[:, 0]
-    for i in range(1, mats.shape[1]):
-        scale = scale * norms[:, i]
-    return scale
+    norms = np.linalg.norm(mats, axis=2)
+    return np.abs(dets) / np.prod(np.maximum(norms, 1e-30), axis=1)
 
 
 def _sigma_ratio(mats: np.ndarray) -> np.ndarray:

@@ -11,9 +11,10 @@ the zero vector alone when there is none, {0} union sigma(ker A \\ {0}) for a
 left matrix A, and the sign vectors every row of an outer sign-set factor can
 be orthogonal to. Every inner factor is tested by sign concordance (a Scaled
 B by the sign pattern of B, which holds it), and Scaled then by one exact
-feasibility question. An Interval class is swept over tau alone: each tau is
-first screened by the concordance of the box's sign sets with every rho, and
-only a tau that passes gets an exact feasibility question.
+feasibility question. An Interval class is swept over tau alone, one exact
+feasibility question per tau; without a left matrix each tau is first
+screened by concordance of the box's sign sets with rho = 0, and only a tau
+that passes gets its question.
 
 sigma(S), sigma(ker A) and the vectors with a given sign that a witness needs
 come from the elementary vectors of the subspace (`subspace_sign_vectors`,
@@ -186,8 +187,13 @@ def concordant_pair(rho, tau, W: SignSetMatrix) -> bool:
     """
     if len(rho) != W.rows or len(tau) != W.cols:
         raise ValueError("dimension mismatch")
-    up_ok, down_ok, zero_ok = _concordant_rows(_row_masks(W), tau)
-    pos, neg, zero = _masks(rho)
+    return _passes(_concordant_rows(_row_masks(W), tau), _masks(rho))
+
+
+def _passes(rows_ok: tuple[int, int, int], rho_masks: tuple[int, int, int]) -> bool:
+    """Does rho (by `_masks`) pass the concordance test whose passing rows
+    for rho_i = +1, -1 and 0 are rows_ok (by `_concordant_rows`)?"""
+    (up_ok, down_ok, zero_ok), (pos, neg, zero) = rows_ok, rho_masks
     return not (pos & ~up_ok or neg & ~down_ok or zero & ~zero_ok)
 
 
@@ -562,12 +568,12 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
     left side (none, A, or an outer sign-set factor) supplies the list of rho
     (`_left_zero_signs`), the inner factor tests each pair (`concordant_pair`,
     then for Scaled the `pair_sign_feasible` LP), and `_hit` builds the
-    witness of the first pair that passes. Interval screens each tau by the
-    same concordance test on its box's sign hull (`_interval_screen`) and
-    runs `interval_kernel_feasible` only for a tau that passes; pairs_checked
-    counts every tau either way. A screened-out tau builds no branch plan, so
-    the branches cap bounds only the LPs that run. Behind a left matrix whose
-    sigma(ker A) lies beyond sign_enum_dim, every tau gets its LP unscreened.
+    witness of the first pair that passes. Interval runs one LP per tau
+    (`interval_kernel_feasible`); without a left matrix it first screens each
+    tau by the same concordance test with rho = 0 on the box's sign hull
+    (every member lies in that sign-set class) and skips a tau that fails.
+    pairs_checked counts every tau either way. A skipped tau builds no branch
+    plan, so the branches cap bounds only the LPs that run.
     """
     if not _serves(cls, A):
         return SignRouteResult(False)
@@ -577,10 +583,12 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
     diag = {"taus": len(taus), "pairs_checked": 0}
 
     if isinstance(cls, Interval):
-        screen = _interval_screen(cls.D, A, caps)
+        hull = None if A is not None else _row_masks(SignSetMatrix(
+            tuple(tuple(e.sign_set() for e in row) for row in cls.D.entries)))
+        zero = _masks((0,) * cls.D.rows)
         for tau in taus:
             diag["pairs_checked"] += 1
-            if screen is not None and not _admits_rho(*screen, tau):
+            if hull is not None and not _passes(_concordant_rows(hull, tau), zero):
                 continue
             got = interval_kernel_feasible(cls.D, S, tau, A, caps)
             if got is not None:
@@ -602,13 +610,13 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
         diag["rhos"] = len(rhos)
     masks, rho_masks = _row_masks(W_in), [_masks(rho) for rho in rhos]
     for tau in taus:
-        up_ok, down_ok, zero_ok = _concordant_rows(masks, tau)
-        for rho, (pos, neg, zero) in zip(rhos, rho_masks):
+        rows_ok = _concordant_rows(masks, tau)
+        for rho, rho_mask in zip(rhos, rho_masks):
             # pairs_checked counts the deciding test: concordance for sign
             # sets, the LP behind it for Scaled
             if not scaled:
                 diag["pairs_checked"] += 1
-            if pos & ~up_ok or neg & ~down_ok or zero & ~zero_ok:
+            if not _passes(rows_ok, rho_mask):
                 continue
             v = None
             if scaled:
@@ -619,29 +627,6 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
             hit = _hit(inner, W_in, W_out, S, K, tau, rho, v)
             return SignRouteResult(True, injective=False, hit=hit, diagnostics=diag)
     return SignRouteResult(True, injective=True, diagnostics=diag)
-
-
-def _interval_screen(D: IntervalBox, A: Optional[RationalMatrix], caps: Caps
-                     ) -> Optional[tuple[list[tuple[int, int, int]], list[tuple[int, int, int]]]]:
-    """The sign hull of the box as `_row_masks` and the masks of the rho that
-    A sends to 0, or None when sigma(ker A) lies beyond the sign_enum_dim cap.
-
-    Every member of D lies in the sign-set class of its entries' sign sets,
-    so when no rho passes the concordance test against tau, no member maps a
-    z with sigma(z) = tau into ker A (to 0 without A)."""
-    if A is not None and D.rows > caps.sign_enum_dim:
-        return None
-    hull = SignSetMatrix(tuple(tuple(e.sign_set() for e in row) for row in D.entries))
-    K = Subspace.from_kernel_rep(A) if A is not None else None
-    return _row_masks(hull), [_masks(rho) for rho in _left_zero_signs(None, K, D.rows, caps)]
-
-
-def _admits_rho(masks: list[tuple[int, int, int]], rho_masks: list[tuple[int, int, int]],
-                tau: SignVector) -> bool:
-    """Does some rho (by `_masks`) pass the concordance test against tau?"""
-    up_ok, down_ok, zero_ok = _concordant_rows(masks, tau)
-    return any(not (pos & ~up_ok or neg & ~down_ok or zero & ~zero_ok)
-               for pos, neg, zero in rho_masks)
 
 
 def _left_zero_signs(W_out: Optional[SignSetMatrix], K: Optional[Subspace],

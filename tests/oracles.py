@@ -9,13 +9,11 @@ concordance test and the falsifier's finite-difference repair are kept here
 as the references for the integer tableau, the int-row core, the bit-mask
 concordance and the one-elimination repair the library runs. The interval
 sweep with one LP per tau is the reference for the sign screen in front of
-it, and the `numpy.linalg.norm` row norms for the falsifier's square score.
+it.
 """
 
 import itertools
 from fractions import Fraction
-
-import numpy as np
 
 from injcheck.classes import Member, SignSetMatrix
 from injcheck.feasibility import strict_sign_feasible
@@ -314,9 +312,3 @@ def unscreened_interval_sweep(D, S: Subspace, A=None, caps=DEFAULT_CAPS) -> Sign
             return SignRouteResult(True, injective=False,
                                    hit=SignRouteHit(member, z, tau, None), diagnostics=diag)
     return SignRouteResult(True, injective=True, diagnostics=diag)
-
-
-def norm_row_scale(mats: np.ndarray) -> np.ndarray:
-    """prod ||row_i|| by `numpy.linalg.norm` and `numpy.prod`, the reference
-    for the column-by-column sums of `injcheck.oracle._row_scale`."""
-    return np.prod(np.maximum(np.linalg.norm(mats, axis=2), 1e-30), axis=1)

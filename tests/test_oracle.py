@@ -27,12 +27,11 @@ from injcheck.oracle import (
     _hull,
     _limit_denominator,
     _root_solve,
-    _row_scale,
     _snap_into,
     falsify,
     sample_member,
 )
-from oracles import finite_difference_root_solve, norm_row_scale
+from oracles import finite_difference_root_solve
 
 F = Fraction
 
@@ -246,16 +245,6 @@ def fractional_classes(rng: random.Random):
         yield Interval(parse_interval_box_text("\n".join(
             " ".join(rng.choice(tokens) for _ in range(n)) for _ in range(n)))), full
         yield Scaled(fracs(n - 1, n)), Subspace.from_kernel_rep(M([F(1, 2), F(-2, 3), F(3, 4)][:n]))
-
-
-class TestRowScale:
-    @pytest.mark.parametrize("n", range(1, 8))
-    def test_bit_equal_to_numpy_norms(self, n):
-        nprng = np.random.default_rng(n)
-        for scale in (1e-8, 1.0, 1e6):
-            mats = nprng.standard_normal((512, n, n)) * scale
-            mats[nprng.random((512, n)) < 0.1] = 0.0  # zero rows meet the 1e-30 floor
-            assert np.array_equal(_row_scale(mats), norm_row_scale(mats))
 
 
 class TestRootSolve:

@@ -629,10 +629,10 @@ def _random_interval_problems(rng, count):
 
 
 def _screen_passes(D, A, tau):
-    """Does some rho the left side sends to 0 pass the set-based concordance
-    test of the box's sign hull against tau?"""
+    """Does tau pass the screen: behind a left matrix always, otherwise when
+    rho = 0 passes the set-based concordance test of the box's sign hull?"""
     hull = SignSetMatrix(tuple(tuple(e.sign_set() for e in row) for row in D.entries))
-    return any(set_concordant_pair(rho, tau, hull) for rho in _brute_left_zero_signs(D.rows, A))
+    return A is not None or set_concordant_pair((0,) * D.rows, tau, hull)
 
 
 class TestIntervalScreen:
@@ -676,19 +676,18 @@ class TestIntervalScreen:
         assert verdict.diagnostics["sign_pairs_checked"] == 2
         assert verify_certificate(verdict, problem)
 
-    def test_left_matrix_beyond_the_sign_cap_keeps_its_verdict(self):
-        # sigma(ker A) for a 1 x 13 A lies beyond sign_enum_dim = 12: the
-        # sweep runs one LP per tau instead of turning INCONCLUSIVE
-        D = parse_interval_box_text("\n".join(["(0,inf) [-1,1]"] * 13))
-        A = M([1] * 13)
-        res = sign_route(Interval(D), Subspace.full(2), A)
-        ref = unscreened_interval_sweep(D, Subspace.full(2), A)
-        assert res.injective is ref.injective is False
-        assert (res.hit.tau, res.hit.z, res.diagnostics) == (ref.hit.tau, ref.hit.z,
-                                                             ref.diagnostics)
-        assert res.hit.member.matrix == ref.hit.member.matrix
-        verdict = check_injectivity(Problem(Interval(D), Subspace.full(2), A))
-        assert verdict.status is Status.NOT_INJECTIVE
+    def test_screened_out_taus_need_no_branch_plan(self):
+        # 7 punctured rows need 2^7 branches, beyond the cap of 64, for any
+        # tau; no member maps a nonzero z to 0, so the screen skips both tau
+        # and the verdict is decided where one LP per tau gives up
+        D = parse_interval_box_text("\n".join(["(-inf,0)u(0,inf)"] * 7))
+        with pytest.raises(CapExceeded, match="branches"):
+            unscreened_interval_sweep(D, Subspace.full(1))
+        problem = Problem(Interval(D), Subspace.full(1))
+        verdict = check_injectivity(problem)
+        assert verdict.status is Status.INJECTIVE
+        assert verdict.diagnostics["sign_pairs_checked"] == 2
+        assert verify_certificate(verdict, problem)
 
 
 class TestUnsupportedShapes:
