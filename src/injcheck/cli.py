@@ -227,7 +227,8 @@ def _print_verdict(v: Verdict) -> None:
             box = data["box"]
             bits.append(f"box min {box['min_value']}, max {box['max_value']}")
         if "pairs_checked" in data:
-            bits.append(f"{data['pairs_checked']} sign pairs checked")
+            count = data["pairs_checked"]
+            bits.append(f"{count} sign {'pair' if count == 1 else 'pairs'} checked")
         if "patterns" in data:
             bits.append(f"{data['patterns']} patterns, each injective")
         print("certificate: " + ", ".join(bits))

@@ -4,7 +4,10 @@ inequalities, decided by a fraction-free phase-1 simplex over int.
 The systems here are always cones: every constraint is of the form row.x = 0,
 row.x >= 0, or row.x > 0. Scaling invariance lets row.x > 0 be replaced by
 row.x >= 1, so strict feasibility reduces to ordinary LP feasibility with no
-epsilon anywhere. Bland's rule guarantees termination.
+epsilon anywhere. Bland's rule guarantees termination. A row with one
+nonzero entry is not put in the tableau: it bounds its variable instead (see
+`feasible_cone`), so the sign rows of a sign-vector system cost no rows, and
+only unbounded coordinates are split into two nonnegative parts.
 
 The tableau is fraction-free, as in Bareiss's elimination (Math. Comp. 1968),
 but it divides each updated row by the gcd of its entries instead of by the
@@ -113,6 +116,15 @@ def feasible_cone(
     The constraint set is a cone, so strict rows are normalized to h.x >= 1;
     feasibility is unchanged and the returned witness satisfies every strict
     row with slack at least 1.
+
+    Before the tableau is built, every unit row (one nonzero entry c on x_j)
+    becomes a bound, the first step of LP presolve (Andersen & Andersen,
+    Math. Programming 71, 1995): c x_j = 0 drops x_j; c x_j >= 0 makes
+    x_j = s w_j and c x_j > 0 makes x_j = s (1/|c| + w_j), w_j >= 0, s the
+    sign of c, with the largest 1/|c| when several strict rows name x_j; rows
+    that contradict each other answer None. Only the coordinates no unit row
+    names are split as x_j = u_j - v_j, so a sign-vector system, whose signs
+    are all unit rows, keeps just the rows of its matrix.
     """
     eq_rows = [rat_vector(r) for r in eq]
     nonneg_rows = [rat_vector(r) for r in nonneg]
@@ -124,31 +136,65 @@ def feasible_cone(
     if not strict_rows:
         return tuple([_ZERO] * n)  # x = 0 satisfies all weak rows
 
-    ns, nt = len(nonneg_rows), len(strict_rows)
-    width = 2 * n + ns + nt  # u, v (x = u - v), surplus for weak, surplus for strict
+    # the coordinates a unit row sets to 0, the signs the other unit rows give
+    # each coordinate, and the largest 1/|c| of its strict unit rows
+    zero: set[int] = set()
+    signs: dict[int, set[int]] = {}
+    low: dict[int, Fraction] = {}
+    kept: list[tuple[tuple[Fraction, ...], str]] = []
+    for rows, kind in ((eq_rows, "eq"), (nonneg_rows, "weak"), (strict_rows, "strict")):
+        for r in rows:
+            nonzero = [j for j, v in enumerate(r) if v]
+            if len(nonzero) != 1:
+                kept.append((r, kind))
+                continue
+            j = nonzero[0]
+            if kind == "eq":
+                zero.add(j)
+                continue
+            signs.setdefault(j, set()).add(1 if r[j] > 0 else -1)
+            if kind == "strict":
+                low[j] = max(low.get(j, _ZERO), 1 / abs(r[j]))
+    signed: dict[int, tuple[int, Fraction]] = {}  # x_j = s (low + w_j)
+    for j in sorted(zero | signs.keys()):
+        if j in low and (j in zero or len(signs[j]) > 1):
+            return None
+        if j not in zero and len(signs[j]) == 1:
+            signed[j] = (next(iter(signs[j])), low.get(j, _ZERO))
+        else:
+            zero.add(j)
+    free = [j for j in range(n) if j not in zero and j not in signed]
+
+    # columns: u and v of the free coordinates, w of the signed ones, then a
+    # surplus per kept weak or strict row; a row the bounds leave with a
+    # negative right side is negated, as phase 1 needs b >= 0
+    first_surplus = 2 * len(free) + len(signed)
+    width = first_surplus + sum(kind != "eq" for _, kind in kept)
     D: list[list[Fraction]] = []
     b: list[Fraction] = []
+    surplus = first_surplus
+    for r, kind in kept:
+        row = ([r[j] for j in free] + [-r[j] for j in free]
+               + [s * r[j] for j, (s, _) in signed.items()] + [_ZERO] * (width - first_surplus))
+        if kind != "eq":
+            row[surplus] = Fraction(-1)
+            surplus += 1
+        rhs = (_ONE if kind == "strict" else _ZERO) - sum(
+            s * bound * r[j] for j, (s, bound) in signed.items())
+        if rhs < 0:
+            row, rhs = [-v for v in row], -rhs
+        D.append(row)
+        b.append(rhs)
 
-    def build(row, surplus_index):
-        out = list(row) + [-v for v in row] + [_ZERO] * (ns + nt)
-        if surplus_index is not None:
-            out[2 * n + surplus_index] = Fraction(-1)
-        return out
-
-    for r in eq_rows:
-        D.append(build(r, None))
-        b.append(_ZERO)
-    for k, r in enumerate(nonneg_rows):
-        D.append(build(r, k))
-        b.append(_ZERO)
-    for k, r in enumerate(strict_rows):
-        D.append(build(r, ns + k))
-        b.append(_ONE)
-
-    y = _phase1(D, b)
+    y = _phase1(D, b) if D else [_ZERO] * width
     if y is None:
         return None
-    return tuple(y[i] - y[n + i] for i in range(n))
+    x = [_ZERO] * n
+    for k, j in enumerate(free):
+        x[j] = y[k] - y[len(free) + k]
+    for k, (j, (s, bound)) in enumerate(signed.items()):
+        x[j] = s * (bound + y[2 * len(free) + k])
+    return tuple(x)
 
 
 def strict_sign_feasible(
@@ -161,7 +207,8 @@ def strict_sign_feasible(
 
     tau and each rho may be SignVector objects or plain sign sequences. Zero
     signs become equalities, nonzero signs strict inequalities of the matching
-    direction.
+    direction; the rows of tau are unit rows, which `feasible_cone` turns
+    into bounds.
     """
     tau_entries = tau.entries if isinstance(tau, SignVector) else tuple(int(s) for s in tau)
     n = len(tau_entries)

@@ -13,7 +13,8 @@ class member M and z in S \\ {0} with (A) M z = 0? S = {0} is injective
   an outer sign-set factor can be orthogonal to); the inner factor tests each
   pair, exactly by LP for Scaled, by signs for sign sets; an interval class
   is swept over tau alone, one LP each, and without a left matrix only for a
-  tau that passes a screen by the signs of its box;
+  tau that passes a screen by the signs of its box; every pair test is odd,
+  so only the tau whose first nonzero entry is -1 are swept;
 * pattern union - a sign-set class is the union of its sign patterns, so the
   verdict is the conjunction of the per-pattern verdicts.
 

@@ -25,7 +25,10 @@ masks: per sign-set row, the columns whose set holds +1, -1 or 0, once per
 sweep; per tau, the rows that pass with each sign, so a pair is three tests.
 
 Every search is lexicographic (-1 < 0 < +1) and the first feasible pair is the
-one a witness is built from, so runs are reproducible bit for bit.
+one a witness is built from, so runs are reproducible bit for bit. Each test
+is odd, (tau, rho) passing exactly when (-tau, -rho) does, so only the tau
+whose first nonzero entry is -1 are swept, the first half of sigma(S) in that
+order.
 """
 
 from __future__ import annotations
@@ -574,6 +577,15 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
     (every member lies in that sign-set class) and skips a tau that fails.
     pairs_checked counts every tau either way. A skipped tau builds no branch
     plan, so the branches cap bounds only the LPs that run.
+
+    Only the taus whose first nonzero entry is -1 are swept. sigma(S) and
+    every list of rho are closed under negation, and every pair test is odd:
+    (tau, rho) passes exactly when (-tau, -rho) does (negate z, the image and
+    the LP point). Those taus are the first half of the sorted sigma(S), since
+    every tau before one of them starts with -1 too, so a NOT_INJECTIVE sweep
+    stops at the same first pair, with the same pairs_checked, as a sweep over
+    all of sigma(S), and an INJECTIVE one checks half the pairs. diagnostics
+    "taus" still counts all of sigma(S).
     """
     if not _serves(cls, A):
         return SignRouteResult(False)
@@ -581,6 +593,8 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
         caps = DEFAULT_CAPS
     taus = subspace_sign_vectors(S, caps)
     diag = {"taus": len(taus), "pairs_checked": 0}
+    # the half whose first nonzero entry is -1, a prefix of the sorted taus
+    taus = taus[:len(taus) // 2]
 
     if isinstance(cls, Interval):
         hull = None if A is not None else _row_masks(SignSetMatrix(

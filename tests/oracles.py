@@ -7,23 +7,29 @@ per candidate.  Slow, but a second opinion.  The rational phase-1 simplex,
 the rational eliminations, products and elementary vectors, the set-based
 concordance test and the falsifier's finite-difference repair are kept here
 as the references for the integer tableau, the int-row core, the bit-mask
-concordance and the one-elimination repair the library runs. The interval
-sweep with one LP per tau is the reference for the sign screen in front of
-it.
+concordance and the one-elimination repair the library runs. The cone
+system that splits every coordinate as u - v is the reference for the
+presolve of `feasible_cone`, and the sweep over all of sigma(S), with one LP
+per tau of an interval class, is the reference for the half sweep and for
+the sign screen.
 """
 
 import itertools
 from fractions import Fraction
 
-from injcheck.classes import Member, SignSetMatrix
+from injcheck.classes import Interval, Member, Product, Scaled, SignSetMatrix
 from injcheck.feasibility import strict_sign_feasible
 from injcheck.limits import DEFAULT_CAPS
 from injcheck.linalg import RationalMatrix, Subspace, kernel_basis, rat_vector
 from injcheck.signroute import (
     SignRouteHit,
     SignRouteResult,
+    _hit,
+    _left_zero_signs,
+    _signsets_of,
     interval_kernel_feasible,
     interval_member_through,
+    pair_sign_feasible,
     subspace_sign_vectors,
 )
 from injcheck.signs import SignVector, _achievable_products, _entries
@@ -137,6 +143,33 @@ def fraction_phase1(D, b):
         if bv < n:
             y[bv] = T[i][total]
     return y
+
+
+def free_split_system(n, eq=(), nonneg=(), strict=()):
+    """The phase-1 system (D, b) of the cone e.x = 0, g.x >= 0, h.x >= 1 with
+    every coordinate split as x = u - v and one surplus per weak or strict
+    row, columns (u, v, weak surpluses, strict surpluses): the formulation
+    `injcheck.feasibility.feasible_cone` solved before its presolve."""
+    eq, nonneg, strict = ([rat_vector(r) for r in rows] for rows in (eq, nonneg, strict))
+    ns, nt = len(nonneg), len(strict)
+    D, b = [], []
+    for rows, offset, rhs in ((eq, None, 0), (nonneg, 0, 0), (strict, ns, 1)):
+        for k, r in enumerate(rows):
+            row = list(r) + [-v for v in r] + [Fraction(0)] * (ns + nt)
+            if offset is not None:
+                row[2 * n + offset + k] = Fraction(-1)
+            D.append(row)
+            b.append(Fraction(rhs))
+    return D, b
+
+
+def fraction_cone(n, eq=(), nonneg=(), strict=()):
+    """`injcheck.feasibility.feasible_cone` without its presolve: the free
+    split system solved by the rational reference simplex."""
+    if not strict:
+        return tuple([Fraction(0)] * n)
+    y = fraction_phase1(*free_split_system(n, eq, nonneg, strict))
+    return None if y is None else tuple(y[i] - y[n + i] for i in range(n))
 
 
 def fraction_rref(data, rows, cols):
@@ -298,17 +331,41 @@ def set_concordant_pair(rho, tau, W: SignSetMatrix) -> bool:
     return True
 
 
-def unscreened_interval_sweep(D, S: Subspace, A=None, caps=DEFAULT_CAPS) -> SignRouteResult:
-    """`injcheck.signroute.sign_route` on Interval(D) without the sign screen:
-    one exact feasibility question per tau of sigma(S), in sweep order."""
+def full_sign_sweep(cls, S: Subspace, A=None, caps=DEFAULT_CAPS) -> SignRouteResult:
+    """`injcheck.signroute.sign_route` over every tau of sigma(S), in sweep
+    order, with the set-based concordance test and one exact feasibility
+    question per tau of an interval class (no sign screen)."""
     taus = subspace_sign_vectors(S, caps)
     diag = {"taus": len(taus), "pairs_checked": 0}
+    if isinstance(cls, Interval):
+        for tau in taus:
+            diag["pairs_checked"] += 1
+            got = interval_kernel_feasible(cls.D, S, tau, A, caps)
+            if got is not None:
+                z, u = got
+                member = Member(interval_member_through(cls.D, z, u), "interval")
+                return SignRouteResult(True, injective=False, diagnostics=diag,
+                                       hit=SignRouteHit(member, z, tau, None))
+        return SignRouteResult(True, injective=True, diagnostics=diag)
+    outer, inner = (cls.left, cls.right) if isinstance(cls, Product) else (None, cls)
+    W_out = _signsets_of(outer) if outer is not None else None
+    W_in = _signsets_of(inner)
+    K = Subspace.from_kernel_rep(A) if A is not None else None
+    rhos = _left_zero_signs(W_out, K, inner.rows, caps)
+    if W_out is None:
+        diag["rhos"] = len(rhos)
     for tau in taus:
-        diag["pairs_checked"] += 1
-        got = interval_kernel_feasible(D, S, tau, A, caps)
-        if got is not None:
-            z, u = got
-            member = Member(interval_member_through(D, z, u), "interval")
-            return SignRouteResult(True, injective=False,
-                                   hit=SignRouteHit(member, z, tau, None), diagnostics=diag)
+        for rho in rhos:
+            if not isinstance(inner, Scaled):
+                diag["pairs_checked"] += 1
+            if not set_concordant_pair(rho, tau, W_in):
+                continue
+            v = None
+            if isinstance(inner, Scaled):
+                diag["pairs_checked"] += 1
+                v = pair_sign_feasible(inner.B, tau, rho)
+                if v is None:
+                    continue
+            return SignRouteResult(True, injective=False, diagnostics=diag,
+                                   hit=_hit(inner, W_in, W_out, S, K, tau, rho, v))
     return SignRouteResult(True, injective=True, diagnostics=diag)

@@ -200,6 +200,16 @@ class TestClassCommands:
         assert code == 0
         assert "certificate: determinant, sign NEG, box min -inf, max -2" in out
 
+    @pytest.mark.parametrize("argv, summary", [
+        (("interval", "--D", "(0,inf) (0,inf);(0,inf) (0,inf)", "--S", "im:1;1"),
+         "1 sign pair checked"),
+        (("monotonic", "--W", "+ 0;0 +", "--route", "sign"), "4 sign pairs checked"),
+    ])
+    def test_sweep_certificate_summary(self, capsys, argv, summary):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert f"certificate: sign-sweep, {summary}\n" in out
+
     def test_kernel_subspace_spec(self, capsys):
         code, out, _ = run(capsys, "monotonic", "--W", "+ + -;+ + +",
                            "--S", "ker:1 -1 1")

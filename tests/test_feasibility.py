@@ -16,7 +16,7 @@ from injcheck.feasibility import feasible_cone, strict_sign_feasible
 from injcheck.linalg import RationalMatrix
 from injcheck.signs import SignVector
 
-from oracles import fraction_phase1
+from oracles import fraction_cone, fraction_phase1, free_split_system
 
 F = Fraction
 
@@ -120,13 +120,6 @@ class TestAgainstBruteForce:
                 assert solved is not None, (Z_rows, tau.entries, grid_hit)
 
 
-def fraction_cone(n, eq=(), nonneg=(), strict=()):
-    """feasible_cone with its phase-1 solved by the rational reference simplex."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(feasibility, "_phase1", fraction_phase1)
-        return feasible_cone(n, eq=eq, nonneg=nonneg, strict=strict)
-
-
 def assert_meets(x, eq, nonneg, strict):
     def dot(row):
         return sum(F(a) * b for a, b in zip(row, x))
@@ -135,9 +128,30 @@ def assert_meets(x, eq, nonneg, strict):
     assert all(dot(r) >= 1 for r in strict)  # strict rows have slack at least 1
 
 
+def phase1_point(n, eq, nonneg, strict):
+    """The int tableau's point of the free split system, after checking that
+    the Fraction simplex returns the very same one."""
+    D, b = free_split_system(n, eq, nonneg, strict)
+    y = feasibility._phase1(D, b)
+    assert y == fraction_phase1(D, b)
+    return None if y is None else tuple(y[i] - y[n + i] for i in range(n))
+
+
+def assert_matches_reference(n, eq=(), nonneg=(), strict=()):
+    """feasible_cone answers None exactly when the free split cone does, and
+    its point meets every row; returns the point."""
+    x = feasible_cone(n, eq=eq, nonneg=nonneg, strict=strict)
+    assert (x is None) == (fraction_cone(n, eq=eq, nonneg=nonneg, strict=strict) is None)
+    if x is not None:
+        assert_meets(x, eq, nonneg, strict)
+    return x
+
+
 class TestIntegerTableauMatchesFractionTableau:
-    """The int tableau pivots positive multiples of the rational rows, so it
-    must return the very point the Fraction simplex returns."""
+    """The int tableau pivots positive multiples of the rational rows, so
+    `_phase1` must return the very point the Fraction simplex returns. The
+    cases pin `_phase1` on the free split systems of their cones, since the
+    presolve of `feasible_cone` gives it other systems with other vertices."""
 
     def test_random_cones(self):
         rng = random.Random(2026)
@@ -155,10 +169,12 @@ class TestIntegerTableauMatchesFractionTableau:
             if strict and case % 5 == 0:
                 # h.x > 0 and -h.x > 0 together: infeasible by construction
                 strict.append([-v for v in strict[0]])
-            x = feasible_cone(n, eq=eq, nonneg=nonneg, strict=strict)
-            assert x == fraction_cone(n, eq=eq, nonneg=nonneg, strict=strict), case
-            if x is not None:
-                assert_meets(x, eq, nonneg, strict)
+            x = assert_matches_reference(n, eq, nonneg, strict)
+            if strict:
+                point = phase1_point(n, eq, nonneg, strict)
+                assert (point is None) == (x is None), case
+                if point is not None:
+                    assert_meets(point, eq, nonneg, strict)
             outcomes.add((bool(eq), bool(nonneg), bool(strict), x is None))
         assert (True, True, True, True) in outcomes
         assert (True, True, True, False) in outcomes
@@ -171,10 +187,10 @@ class TestIntegerTableauMatchesFractionTableau:
         eq = [[F(-1, 2), 0, F(-1, 7), F(-3, 4), F(1, 3), -4]]
         nonneg = [[F(1, 2), F(1, 3), F(5, 7), F(-2, 3), F(-1, 2), -2]]
         strict = [[F(1, 4), F(-3, 5), 1, -1, -2, F(2, 5)]]
-        x = feasible_cone(6, eq=eq, nonneg=nonneg, strict=strict)
-        assert x == fraction_cone(6, eq=eq, nonneg=nonneg, strict=strict)
+        x = phase1_point(6, eq, nonneg, strict)
         assert x == (F(-212, 89), 0, F(238, 89), F(96, 89), 0, 0)
         assert_meets(x, eq, nonneg, strict)
+        assert_matches_reference(6, eq, nonneg, strict)
 
     def test_large_coprime_denominators(self):
         primes = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
@@ -183,7 +199,79 @@ class TestIntegerTableauMatchesFractionTableau:
               [F(1, primes[-1 - j]) if j % 2 else F(-1, primes[j + 6]) for j in range(n)]]
         nonneg = [[F(1, primes[12 + j]) for j in range(n)]]
         strict = [[F(1 if j == k else 0, primes[18 + k]) for j in range(n)] for k in (0, 2)]
-        x = feasible_cone(n, eq=eq, nonneg=nonneg, strict=strict)
+        x = phase1_point(n, eq, nonneg, strict)
         assert x is not None
-        assert x == fraction_cone(n, eq=eq, nonneg=nonneg, strict=strict)
         assert_meets(x, eq, nonneg, strict)
+        assert assert_matches_reference(n, eq, nonneg, strict) is not None
+
+
+def _unit(n, j, c):
+    row = [F(0)] * n
+    row[j] = F(c)
+    return row
+
+
+class TestPresolve:
+    """Unit rows become bounds before the tableau is built; the free split
+    cone of `oracles` is the reference for every answer."""
+
+    def test_random_cones_with_unit_rows(self):
+        rng = random.Random(41)
+        coefficients = (1, -1, 2, -3, F(1, 2), F(-2, 5))
+        kinds = set()
+        for case in range(400):
+            n = rng.randint(1, 5)
+            cone = {"eq": [], "nonneg": [], "strict": []}
+            for kind in cone:
+                for _ in range(rng.choice((0, 1, 2))):  # general rows, some all zero
+                    cone[kind].append([F(rng.randint(-3, 3), rng.randint(1, 3))
+                                       if rng.random() < 0.7 else F(0) for _ in range(n)])
+                for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                    cone[kind].append(_unit(n, rng.randrange(n), rng.choice(coefficients)))
+            x = assert_matches_reference(n, **cone)
+            kinds.add((x is None, all(any(v for v in r) for rows in cone.values() for r in rows)))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("eq, nonneg, strict", [
+        ([_unit(2, 0, 3)], [], [_unit(2, 0, -1)]),  # x_0 = 0 and x_0 < 0
+        ([], [_unit(2, 1, F(-1, 2))], [_unit(2, 1, 5), [1, 1]]),  # x_1 <= 0 and x_1 > 0
+        ([], [], [_unit(2, 0, 2), _unit(2, 0, -2)]),  # x_0 > 0 and x_0 < 0
+        ([], [], [[0, 0]]),  # 0 > 0
+    ])
+    def test_contradictory_rows_are_infeasible(self, eq, nonneg, strict):
+        assert feasible_cone(2, eq=eq, nonneg=nonneg, strict=strict) is None
+        assert fraction_cone(2, eq=eq, nonneg=nonneg, strict=strict) is None
+
+    def test_largest_strict_bound_wins(self):
+        strict = [_unit(2, 0, 4), _unit(2, 0, F(1, 3)), _unit(2, 1, -2), [1, 1]]
+        x = feasible_cone(2, strict=strict)
+        assert_meets(x, (), (), strict)
+        assert x[0] >= 3 and x[1] <= F(-1, 2)
+
+    def test_weak_rows_on_both_sides_fix_zero(self):
+        x = feasible_cone(3, nonneg=[_unit(3, 1, 2), _unit(3, 1, -1)],
+                          strict=[[1, 1, 0], _unit(3, 2, 1)])
+        assert x is not None and x[1] == 0 and x[0] >= 1
+        assert_meets(x, (), [_unit(3, 1, 2)], [[1, 1, 0], _unit(3, 2, 1)])
+
+    def test_presolve_that_leaves_no_rows(self, monkeypatch):
+        def refuse(D, b):
+            raise AssertionError("a system with no rows left reached the tableau")
+
+        monkeypatch.setattr(feasibility, "_phase1", refuse)
+        eq, nonneg, strict = [_unit(3, 2, 5)], [_unit(3, 1, -1)], [_unit(3, 0, F(-2, 3))]
+        x = feasible_cone(3, eq=eq, nonneg=nonneg, strict=strict)
+        assert x == (F(-3, 2), 0, 0)
+        assert_meets(x, eq, nonneg, strict)
+
+    def test_scaled_pair_keeps_only_the_rows_of_its_matrix(self, monkeypatch):
+        # a full tau is n unit rows; the tableau keeps the m rows of B, and a
+        # column per coordinate and per strict row of B
+        shapes = []
+        original = feasibility._phase1
+        monkeypatch.setattr(feasibility, "_phase1",
+                            lambda D, b: shapes.append((len(D), len(D[0]))) or original(D, b))
+        B = M([1, -2, 1], [2, 1, -1])
+        v = strict_sign_feasible(None, SignVector((1, 1, -1)), extra=[(B, SignVector((0, 1)))])
+        assert v is not None and B.apply(v)[0] == 0 and B.apply(v)[1] > 0
+        assert shapes == [(2, 3 + 1)]

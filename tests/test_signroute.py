@@ -10,8 +10,8 @@ from oracles import (
     enumerate_subspace_signs,
     fraction_elementary,
     lp_concordant,
+    full_sign_sweep,
     set_concordant_pair,
-    unscreened_interval_sweep,
 )
 
 from injcheck.classes import (
@@ -500,8 +500,9 @@ def _random_subspace(rng, n):
 
 class TestOneSweep:
     def test_injective_sign_set_sweeps_check_every_pair(self):
-        # every (tau, rho) pair reaches concordant_pair: pairs_checked is
-        # |sigma(S)| times the number of signs the left side sends to 0
+        # every (tau, rho) pair of the half sweep reaches concordant_pair:
+        # pairs_checked is half of |sigma(S)| times the number of signs the
+        # left side sends to 0
         rng = random.Random(11)
         injective = {"alone": 0, "left": 0, "product": 0}
         for k in range(240):
@@ -520,7 +521,8 @@ class TestOneSweep:
             if not res.injective:
                 continue
             injective[shape] += 1
-            expected = len(enumerate_subspace_signs(S)) * len(_brute_left_zero_signs(mid, A, W_out))
+            expected = len(enumerate_subspace_signs(S)) // 2 * len(
+                _brute_left_zero_signs(mid, A, W_out))
             assert res.diagnostics["pairs_checked"] == expected, (k, cls.describe())
         assert min(injective.values()) >= 5, injective
 
@@ -552,6 +554,16 @@ class TestOneSweep:
         assert len(calls) == res.diagnostics["pairs_checked"] > 0
 
 
+# an r x n inner factor of each kind the pair loop serves, drawn from rng
+_MAKE_INNER = {
+    "scaled": lambda rng, r, n: Scaled(RationalMatrix(
+        r, n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)])),
+    "signsets": lambda rng, r, n: SignSets(SignSetMatrix_random(rng, r, n)),
+    "pattern": lambda rng, r, n: SignPattern(tuple(
+        tuple(rng.choice((-1, 0, 1)) for _ in range(n)) for _ in range(r))),
+}
+
+
 class TestNoLpOutsideScaledPairs:
     @staticmethod
     def _problems(rng, inner):
@@ -575,13 +587,8 @@ class TestNoLpOutsideScaledPairs:
 
         monkeypatch.setattr(feasibility, "feasible_cone", refuse)
         monkeypatch.setattr(signroute, "feasible_cone", refuse)
-        make = {
-            "signsets": lambda rng, r, n: SignSets(SignSetMatrix_random(rng, r, n)),
-            "pattern": lambda rng, r, n: SignPattern(tuple(
-                tuple(rng.choice((-1, 0, 1)) for _ in range(n)) for _ in range(r))),
-        }[inner]
         verdicts = set()
-        for cls, S, A in self._problems(random.Random(17), make):
+        for cls, S, A in self._problems(random.Random(17), _MAKE_INNER[inner]):
             res = sign_route(cls, S, A)
             verdicts.add(res.injective)
             if not res.injective:
@@ -597,10 +604,8 @@ class TestNoLpOutsideScaledPairs:
                             lambda *a, **k: lps.append(1) or cone(*a, **k))
         monkeypatch.setattr(signroute, "pair_sign_feasible",
                             lambda *a: pairs.append(1) or pair(*a))
-        make = lambda rng, r, n: Scaled(RationalMatrix(
-            r, n, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]))
         verdicts = set()
-        for cls, S, A in self._problems(random.Random(19), make):
+        for cls, S, A in self._problems(random.Random(19), _MAKE_INNER["scaled"]):
             verdicts.add(sign_route(cls, S, A).injective)
             assert len(lps) == len(pairs)
         assert verdicts == {True, False} and len(pairs) > 0
@@ -635,17 +640,51 @@ def _screen_passes(D, A, tau):
     return A is not None or set_concordant_pair((0,) * D.rows, tau, hull)
 
 
+def assert_same_sweep(res, ref, k):
+    """The half sweep and the sweep over all of sigma(S) give the same status
+    and first hit; pairs_checked is the reference's on a hit, half of it
+    without one."""
+    assert res.supported and res.injective == ref.injective, k
+    assert res.diagnostics["taus"] == ref.diagnostics["taus"], k
+    factor = 2 if res.injective else 1
+    assert res.diagnostics["pairs_checked"] * factor == ref.diagnostics["pairs_checked"], k
+    if not res.injective:
+        assert (res.hit.tau, res.hit.rho, res.hit.z) == (ref.hit.tau, ref.hit.rho, ref.hit.z), k
+        assert res.hit.member.matrix == ref.hit.member.matrix, k
+        assert res.hit.lift_data == ref.hit.lift_data, k
+
+
+class TestHalfSweep:
+    """Only the taus whose first nonzero entry is -1 are swept; the sweep
+    over all of sigma(S) in `oracles` is the reference."""
+
+    @pytest.mark.parametrize("inner", sorted(_MAKE_INNER))
+    def test_matches_the_full_sweep(self, inner):
+        seen = set()
+        problems = TestNoLpOutsideScaledPairs._problems(random.Random(31), _MAKE_INNER[inner])
+        for k, (cls, S, A) in enumerate(problems):
+            res = sign_route(cls, S, A)
+            assert_same_sweep(res, full_sign_sweep(cls, S, A), k)
+            seen.add((isinstance(cls, Product), A is not None, res.injective))
+        assert {(p, a, i) for p, a in ((False, False), (False, True), (True, False))
+                for i in (False, True)} <= seen
+
+    def test_swept_taus_lead_with_minus(self, monkeypatch):
+        swept = []
+        original = signroute._concordant_rows
+        monkeypatch.setattr(signroute, "_concordant_rows",
+                            lambda masks, tau: swept.append(tau) or original(masks, tau))
+        res = sign_route(SignPattern(((1, 0), (0, 1))), Subspace.full(2), None)
+        assert res.injective and res.diagnostics["taus"] == 8
+        assert swept == [sv(-1, -1), sv(-1, 0), sv(-1, 1), sv(0, -1)]
+
+
 class TestIntervalScreen:
     def test_screened_sweep_matches_one_lp_per_tau(self):
         verdicts, full, skipped = set(), 0, 0
         for k, (D, S, A) in enumerate(_random_interval_problems(random.Random(23), 240)):
             res = sign_route(Interval(D), S, A)
-            ref = unscreened_interval_sweep(D, S, A)
-            assert res.injective == ref.injective, k
-            assert res.diagnostics == ref.diagnostics, k
-            if not res.injective:
-                assert (res.hit.tau, res.hit.z) == (ref.hit.tau, ref.hit.z), k
-                assert res.hit.member.matrix == ref.hit.member.matrix, k
+            assert_same_sweep(res, full_sign_sweep(Interval(D), S, A), k)
             verdicts.add(res.injective)
             full += S.dim == S.n
             skipped += sum(not _screen_passes(D, A, tau)
@@ -673,20 +712,20 @@ class TestIntervalScreen:
                           Subspace.from_image(M([1], [1])))
         verdict = check_injectivity(problem)
         assert verdict.status is Status.INJECTIVE
-        assert verdict.diagnostics["sign_pairs_checked"] == 2
+        assert verdict.diagnostics["sign_pairs_checked"] == 1  # --, not ++
         assert verify_certificate(verdict, problem)
 
     def test_screened_out_taus_need_no_branch_plan(self):
         # 7 punctured rows need 2^7 branches, beyond the cap of 64, for any
-        # tau; no member maps a nonzero z to 0, so the screen skips both tau
-        # and the verdict is decided where one LP per tau gives up
+        # tau; no member maps a nonzero z to 0, so the screen skips the one
+        # tau swept and the verdict is decided where one LP per tau gives up
         D = parse_interval_box_text("\n".join(["(-inf,0)u(0,inf)"] * 7))
         with pytest.raises(CapExceeded, match="branches"):
-            unscreened_interval_sweep(D, Subspace.full(1))
+            full_sign_sweep(Interval(D), Subspace.full(1))
         problem = Problem(Interval(D), Subspace.full(1))
         verdict = check_injectivity(problem)
         assert verdict.status is Status.INJECTIVE
-        assert verdict.diagnostics["sign_pairs_checked"] == 2
+        assert verdict.diagnostics["sign_pairs_checked"] == 1
         assert verify_certificate(verdict, problem)
 
 
