@@ -56,6 +56,7 @@ from .linalg import (
 )
 from .oracle import OracleConfig, falsify
 from .signroute import subspace_sign_vectors
+from .signs import sign_text
 
 EXIT_INJECTIVE = 0
 EXIT_NOT_INJECTIVE = 1
@@ -356,14 +357,14 @@ def _cmd_crn(args) -> int:
 def _cmd_signs(args) -> int:
     S, s_echo = _parse_subspace(args.S, None)
     caps, caps_spec = _caps_from_args(args)
-    vectors = subspace_sign_vectors(S, caps)
+    vectors = [sign_text(p, m, S.n) for p, m in subspace_sign_vectors(S, caps)]
     for v in vectors:
-        print(str(v))
+        print(v)
     _write_report(args.report, {
         "command": "signs",
         "inputs": {"S": s_echo},
         "caps": caps_spec or "default",
-        "sign_vectors": [str(v) for v in vectors],
+        "sign_vectors": vectors,
     })
     return 0
 

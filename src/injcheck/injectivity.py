@@ -58,7 +58,7 @@ from .detroute import DetAnalysis, DetSign, det_sign_analysis
 from .limits import CapExceeded, Caps, DEFAULT_CAPS
 from .linalg import RationalMatrix, Subspace, kernel_basis, rat_vector
 from .signroute import SignRouteHit, sign_route, subspace_sign_vectors
-from .signs import SignVector, sigma
+from .signs import SignVector, sigma, sign_text
 
 _ONE = Fraction(1)
 
@@ -565,7 +565,7 @@ def _sign_inconclusive(run: _Run) -> Verdict:
 def _sweep_certificate(S: Subspace, diag: dict, caps: Caps) -> PositivityCertificate:
     taus = subspace_sign_vectors(S, caps)
     payload = {
-        "sign_vectors_of_S": [str(t) for t in taus] if len(taus) <= 64 else len(taus),
+        "sign_vectors_of_S": [sign_text(*t, S.n) for t in taus] if len(taus) <= 64 else len(taus),
         "pairs_checked": diag.get("pairs_checked", 0),
     }
     if "rhos" in diag:

@@ -20,9 +20,10 @@ sigma(S), sigma(ker A) and the vectors with a given sign that a witness needs
 come from the elementary vectors of the subspace (`subspace_sign_vectors`,
 `realize_sign_in_subspace`), each read off one `linalg._eliminate` of int
 rows, and sign-set members have a closed form (`signset_member_rows`), so the
-phase-1 LP serves only Scaled pairs and intervals. Concordance runs on bit
-masks: per sign-set row, the columns whose set holds +1, -1 or 0, once per
-sweep; per tau, the rows that pass with each sign, so a pair is three tests.
+phase-1 LP serves only Scaled pairs and intervals. Every tau and rho is a
+pair (pos, neg) of bit masks from the closure through the concordance test
+(`signs._concordant_rows`, three mask tests a pair), and becomes a SignVector
+only when an LP or a witness (`_hit`) takes it.
 
 Every search is lexicographic (-1 < 0 < +1) and the first feasible pair is the
 one a witness is built from, so runs are reproducible bit for bit. Each test
@@ -54,7 +55,8 @@ from .classes import (
 from .feasibility import feasible_cone, strict_sign_feasible
 from .limits import CapExceeded, Caps, DEFAULT_CAPS
 from .linalg import RationalMatrix, Subspace, _eliminate
-from .signs import SignVector, sigma, sign_of, signset_row_orthogonal_witness
+from .signs import (SignVector, _concordant_rows, _passes, _row_masks, sigma, sign_masks,
+                    sign_of, signset_row_orthogonal_witness)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,8 +66,9 @@ _ONE = Fraction(1)
 # sign vectors of a subspace
 
 
-def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[SignVector, ...]:
-    """sigma(S \\ {0}) as a lexicographically sorted tuple (cached on S).
+def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[tuple[int, int], ...]:
+    """sigma(S \\ {0}) as sorted (positive, negative) bit-mask pairs, bit i for
+    coordinate i (`SignVector.from_masks` decodes one); cached on S.
 
     Computed without a feasibility problem, as the closure of the signs of the
     elementary vectors of S (`_elementary`) under conformal composition
@@ -74,7 +77,9 @@ def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[Sig
     (Rockafellar, "The elementary vectors of a subspace of R^N", 1969);
     conversely sigma(x + eps y) = sigma(x) o sigma(y) for x, y in S and small
     eps > 0. The closure is therefore sigma(S \\ {0}), with nothing sampled or
-    dropped.
+    dropped. Sorted is lexicographic (-1 < 0 < +1, coordinate 0 first), the
+    order of w(pos) - w(neg), w(mask) the sum of 3^(n-1-i) over its bits i, so
+    the vectors led by -1 (key below 0) are the first half.
     """
     if caps is None:
         caps = DEFAULT_CAPS
@@ -85,38 +90,46 @@ def subspace_sign_vectors(S: Subspace, caps: Optional[Caps] = None) -> tuple[Sig
     # on what an earlier call with other caps left on S
     if n > caps.sign_enum_dim:
         raise CapExceeded("sign_enum_dim", n, caps.sign_enum_dim)
-    cache_key = "sign_vectors"
-    cached = S._sign_vectors_cache.get(cache_key)
+    cached = S._sign_vectors_cache.get("sign_vectors")
     if cached is not None:
         return cached
     if S.kernel_rep().rows == 0:
-        out = tuple(SignVector(c) for c in itertools.product((-1, 0, 1), repeat=n)
-                    if any(c))
-        S._sign_vectors_cache[cache_key] = out
-        return out
-
-    # X o Y depends on Y only through its signs where X is zero, so the
-    # elementary signs are restricted once per zero set
-    elementary = set(_elementary(S))
-    restricted: dict[int, set[tuple[int, int]]] = {}
-    found = set(elementary)
-    newest = elementary
-    while newest:
-        composed: set[tuple[int, int]] = set()
-        for xp, xn in newest:
-            zero = ~(xp | xn) & ((1 << n) - 1)
-            if zero not in restricted:
-                restricted[zero] = {(yp & zero, yn & zero) for yp, yn in elementary}
-            composed.update((xp | yp, xn | yn) for yp, yn in restricted[zero])
-        newest = composed - found
-        found |= newest
-    out = tuple(SignVector(c) for c in sorted(
-        tuple((p >> i & 1) - (m >> i & 1) for i in range(n)) for p, m in found))
-    S._sign_vectors_cache[cache_key] = out
+        found = _all_sign_masks(n)
+        del found[len(found) // 2]  # the zero vector
+    else:
+        # while closing, a sign vector is one int pos | neg << n, and X o Y is
+        # X | Y with Y restricted to the zero set of X (once per zero set)
+        low = (1 << n) - 1
+        elementary = {p | m << n for p, m in _elementary(S)}
+        restricted: dict[int, set[int]] = {}
+        found = set(elementary)
+        newest = elementary
+        while newest:
+            composed: set[int] = set()
+            for x in newest:
+                zero = ~(x | x >> n) & low
+                if zero not in restricted:
+                    restricted[zero] = {y & (zero | zero << n) for y in elementary}
+                composed.update(map(x.__or__, restricted[zero]))
+            newest = composed - found
+            found |= newest
+        weight = {mask: int(format(mask, f"0{n}b")[::-1], 3)
+                  for mask in {x & low for x in found} | {x >> n for x in found}}
+        found = [(x & low, x >> n) for x in
+                 sorted(found, key=lambda x: weight[x & low] - weight[x >> n])]
+    S._sign_vectors_cache["sign_vectors"] = out = tuple(found)
     return out
 
 
-def _elementary(S: Subspace) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+def _all_sign_masks(n: int) -> list[tuple[int, int]]:
+    """Every sign vector of length n as (positive, negative) masks, sorted (0 in the middle)."""
+    out = [(0, 0)]
+    for bit in (1 << i for i in reversed(range(n))):
+        out = [(p, m | bit) for p, m in out] + out + [(p | bit, m) for p, m in out]
+    return out
+
+
+def _elementary(S: Subspace) -> dict[tuple[int, int], tuple[tuple[int, ...], int]]:
     """The elementary vectors of S (its nonzero vectors of minimal support),
     one exact vector per sign, keyed by its (positive, negative) bit masks over
     the coordinates; cached on S. With an image basis V (n x d), Vc is
@@ -124,7 +137,8 @@ def _elementary(S: Subspace) -> dict[tuple[int, int], tuple[Fraction, ...]]:
     every elementary vector is +-Vc for c spanning the kernel of some d - 1
     rows of V of rank d - 1. `_eliminate` of their int rows gives den * c
     (free coordinate den, pivot coordinates -work[i][free]); with row j of V
-    ints_j / s_j, (Vc)_j = (ints_j . den c) / (den * s_j)."""
+    ints_j / s_j, (Vc)_j = (ints_j . den c) / (den * s_j), held as the ints
+    (nums, den) until `realize_sign_in_subspace` sums it."""
     cached = S._sign_vectors_cache.get("elementary")
     if cached is not None:
         return cached
@@ -132,7 +146,7 @@ def _elementary(S: Subspace) -> dict[tuple[int, int], tuple[Fraction, ...]]:
     V = S.image_basis()
     d = V.cols
     rows = V.int_rows()
-    elementary: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    elementary: dict[tuple[int, int], tuple[tuple[int, ...], int]] = {}
     for subset in itertools.combinations(range(n), d - 1) if d else ():
         work = [rows[i][0] for i in subset]
         pivots, den, _ = _eliminate(work)
@@ -141,11 +155,10 @@ def _elementary(S: Subspace) -> dict[tuple[int, int], tuple[Fraction, ...]]:
         free = next(j for j in range(d) if j not in pivots)
         c = [den if j == free else -work[pivots.index(j)][free] for j in range(d)]
         nums = [sum(map(operator.mul, ints, c)) for ints, _ in rows]
-        pos, neg, _ = _masks([num * den for num in nums])
+        pos, neg = sign_masks([num * den for num in nums])
         for key, sign in (((pos, neg), 1), ((neg, pos), -1)):
             if key not in elementary:
-                elementary[key] = tuple(Fraction(sign * num, den * s)
-                                        for num, (_, s) in zip(nums, rows))
+                elementary[key] = (tuple(sign * num for num in nums), den)
     S._sign_vectors_cache["elementary"] = elementary
     return elementary
 
@@ -161,12 +174,13 @@ def realize_sign_in_subspace(S: Subspace, tau: SignVector) -> Optional[tuple[Fra
     """
     if len(tau) != S.n:
         raise ValueError("dimension mismatch")
-    pos, neg, _ = _masks(tau)
+    pos, neg = sign_masks(tau)
     z = [_ZERO] * S.n
     covered = 0
-    for (p, m), e in _elementary(S).items():
+    scales = [s for _, s in S.image_basis().int_rows()]
+    for (p, m), (nums, den) in _elementary(S).items():
         if p & ~pos == 0 and m & ~neg == 0:
-            z = [a + b for a, b in zip(z, e)]
+            z = [a + Fraction(num, den * s) for a, num, s in zip(z, nums, scales)]
             covered |= p | m
     return tuple(z) if covered == pos | neg else None
 
@@ -190,49 +204,7 @@ def concordant_pair(rho, tau, W: SignSetMatrix) -> bool:
     """
     if len(rho) != W.rows or len(tau) != W.cols:
         raise ValueError("dimension mismatch")
-    return _passes(_concordant_rows(_row_masks(W), tau), _masks(rho))
-
-
-def _passes(rows_ok: tuple[int, int, int], rho_masks: tuple[int, int, int]) -> bool:
-    """Does rho (by `_masks`) pass the concordance test whose passing rows
-    for rho_i = +1, -1 and 0 are rows_ok (by `_concordant_rows`)?"""
-    (up_ok, down_ok, zero_ok), (pos, neg, zero) = rows_ok, rho_masks
-    return not (pos & ~up_ok or neg & ~down_ok or zero & ~zero_ok)
-
-
-def _masks(values: Sequence) -> tuple[int, int, int]:
-    """The bit masks of the positive, the negative and the zero entries."""
-    pos = sum(1 << i for i, v in enumerate(values) if v > 0)
-    neg = sum(1 << i for i, v in enumerate(values) if v < 0)
-    return pos, neg, ((1 << len(values)) - 1) & ~(pos | neg)
-
-
-def _row_masks(W: SignSetMatrix) -> list[tuple[int, int, int]]:
-    """Per row of W, the masks of the columns whose sign set holds +1, -1, 0."""
-    masks = []
-    for row in W.entries:
-        m = [0, 0, 0]  # indexed by the sign: m[1], m[-1], m[0]
-        for j, s in enumerate(row):
-            for sign in s:
-                m[sign] |= 1 << j
-        masks.append((m[1], m[-1], m[0]))
-    return masks
-
-
-def _concordant_rows(masks: list[tuple[int, int, int]], tau) -> tuple[int, int, int]:
-    """The masks of the rows of W (by `_row_masks`) that pass against tau with
-    rho_i = +1, -1 and 0. up and down hold the j where some s in w_ij makes
-    s * tau_j = +1 and -1; rho_i = 0 needs products 0 throughout (supp tau
-    inside zero), or a +1 and a -1 at two distinct coordinates."""
-    P, N, _ = _masks(tau)
-    up_ok = down_ok = zero_ok = 0
-    for i, (plus, minus, zero) in enumerate(masks):
-        up, down = P & plus | N & minus, P & minus | N & plus
-        orthogonal = not (P | N) & ~zero or up and down and (up != down or up & (up - 1))
-        up_ok |= bool(up) << i
-        down_ok |= bool(down) << i
-        zero_ok |= bool(orthogonal) << i
-    return up_ok, down_ok, zero_ok
+    return _passes(_concordant_rows(_row_masks(W), *sign_masks(tau)), *sign_masks(rho))
 
 
 def signset_member_rows(W: SignSetMatrix, x: Sequence[Fraction],
@@ -599,11 +571,11 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
     if isinstance(cls, Interval):
         hull = None if A is not None else _row_masks(SignSetMatrix(
             tuple(tuple(e.sign_set() for e in row) for row in cls.D.entries)))
-        zero = _masks((0,) * cls.D.rows)
         for tau in taus:
             diag["pairs_checked"] += 1
-            if hull is not None and not _passes(_concordant_rows(hull, tau), zero):
+            if hull is not None and not _passes(_concordant_rows(hull, *tau), 0, 0):
                 continue
+            tau = SignVector.from_masks(*tau, S.n)
             got = interval_kernel_feasible(cls.D, S, tau, A, caps)
             if got is not None:
                 z, u = got
@@ -622,41 +594,42 @@ def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
     rhos = _left_zero_signs(W_out, K, inner.rows, caps)
     if W_out is None:
         diag["rhos"] = len(rhos)
-    masks, rho_masks = _row_masks(W_in), [_masks(rho) for rho in rhos]
+    masks = _row_masks(W_in)
     for tau in taus:
-        rows_ok = _concordant_rows(masks, tau)
-        for rho, rho_mask in zip(rhos, rho_masks):
+        rows_ok = _concordant_rows(masks, *tau)
+        for rho in rhos:
             # pairs_checked counts the deciding test: concordance for sign
             # sets, the LP behind it for Scaled
             if not scaled:
                 diag["pairs_checked"] += 1
-            if not _passes(rows_ok, rho_mask):
+            if not _passes(rows_ok, *rho):
                 continue
+            tau_v = SignVector.from_masks(*tau, S.n)
+            rho_v = SignVector.from_masks(*rho, inner.rows)
             v = None
             if scaled:
                 diag["pairs_checked"] += 1
-                v = pair_sign_feasible(inner.B, tau, rho)
+                v = pair_sign_feasible(inner.B, tau_v, rho_v)
                 if v is None:
                     continue
-            hit = _hit(inner, W_in, W_out, S, K, tau, rho, v)
+            hit = _hit(inner, W_in, W_out, S, K, tau_v, rho_v, v)
             return SignRouteResult(True, injective=False, hit=hit, diagnostics=diag)
     return SignRouteResult(True, injective=True, diagnostics=diag)
 
 
 def _left_zero_signs(W_out: Optional[SignSetMatrix], K: Optional[Subspace],
-                     rows: int, caps: Caps) -> list[SignVector]:
-    """The sorted signs rho of an inner image that the left side can send to
-    0: with an outer sign-set factor, those every row of it can be orthogonal
-    to; otherwise {0} union sigma(K) for K = ker A, just 0 without a left
-    matrix."""
+                     rows: int, caps: Caps) -> list[tuple[int, int]]:
+    """The sorted signs rho (as masks) of an inner image that the left side
+    can send to 0: with an outer sign-set factor, those every row of it can
+    be orthogonal to; otherwise {0} union sigma(K) for K = ker A (0 sorts to
+    the middle), just 0 without a left matrix."""
     if W_out is not None:
         if rows > caps.sign_enum_dim:
             raise CapExceeded("sign_enum_dim", rows, caps.sign_enum_dim)
-        masks, every_row = _row_masks(W_out), (1 << W_out.rows) - 1
-        return [SignVector(c) for c in itertools.product((-1, 0, 1), repeat=rows)
-                if _concordant_rows(masks, c)[2] == every_row]
+        masks = _row_masks(W_out)
+        return [rho for rho in _all_sign_masks(rows) if not _concordant_rows(masks, *rho)[2]]
     kernel = subspace_sign_vectors(K, caps) if K is not None else ()
-    return [SignVector(c) for c in sorted({(0,) * rows} | {k.entries for k in kernel})]
+    return [*kernel[:len(kernel) // 2], (0, 0), *kernel[len(kernel) // 2:]]
 
 
 def _hit(inner: MatrixClass, W_in: SignSetMatrix, W_out: Optional[SignSetMatrix],

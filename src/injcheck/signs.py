@@ -1,6 +1,6 @@
-"""Sign vectors, sign orthogonality, and sign-set rows.
+"""Sign vectors (also as bit masks), sign orthogonality, and sign-set rows.
 
-Signs are the ints -1, 0, +1.
+Signs are the ints -1, 0, +1. As bit masks, a sign vector is (pos, neg).
 
 Two sign vectors are orthogonal when their coordinatewise products are either
 all zero or include both a -1 and a +1; this is exactly the condition for two
@@ -51,8 +51,9 @@ class SignVector:
         object.__setattr__(self, "entries", entries)
 
     @classmethod
-    def zero(cls, n: int) -> "SignVector":
-        return cls((0,) * n)
+    def from_masks(cls, pos: int, neg: int, n: int) -> "SignVector":
+        """The length-n sign vector that is +1 on the bits of pos, -1 on neg."""
+        return cls(tuple((pos >> i & 1) - (neg >> i & 1) for i in range(n)))
 
     def __str__(self) -> str:
         return "".join(_CHAR_OF_SIGN[s] for s in self.entries)
@@ -79,6 +80,17 @@ class SignVector:
 def sigma(x: Sequence) -> SignVector:
     """Componentwise sign of an exact rational vector."""
     return SignVector(tuple(sign_of(v) for v in x))
+
+
+def sign_text(pos: int, neg: int, n: int) -> str:
+    """`str(SignVector.from_masks(pos, neg, n))`, without building the vector."""
+    return "".join("+" if pos >> i & 1 else "-" if neg >> i & 1 else "0" for i in range(n))
+
+
+def sign_masks(values: Sequence) -> tuple[int, int]:
+    """The bit masks of the positive and of the negative entries."""
+    return (sum(1 << i for i, v in enumerate(values) if v > 0),
+            sum(1 << i for i, v in enumerate(values) if v < 0))
 
 
 def _entries(v) -> tuple[Sign, ...]:
@@ -173,3 +185,37 @@ def signset_row_orthogonal_witness(w_row: Sequence[SignSet], rho) -> Optional[Si
                     out.append(sorted(w)[0])
             return SignVector(tuple(out))
     return None
+
+
+def _row_masks(W) -> list[tuple[int, int, int]]:
+    """Per row of a sign-set matrix, the masks of the columns whose set holds +1, -1, 0."""
+    masks = []
+    for row in W.entries:
+        m = [0, 0, 0]  # indexed by the sign: m[1], m[-1], m[0]
+        for j, s in enumerate(row):
+            for sign in s:
+                m[sign] |= 1 << j
+        masks.append((m[1], m[-1], m[0]))
+    return masks
+
+
+def _concordant_rows(masks: list[tuple[int, int, int]], P: int, N: int) -> tuple[int, int, int]:
+    """For the tau with masks P, N (by `sign_masks`): the masks of the rows of
+    W (by `_row_masks`) that pass against it with rho_i = +1 and -1, and of
+    those that fail with rho_i = 0. up and down hold the j where some s in
+    w_ij makes s * tau_j = +1 and -1; rho_i = 0 needs products 0 throughout
+    (supp tau inside zero), or a +1 and a -1 at two distinct coordinates."""
+    up_ok = down_ok = zero_fails = 0
+    for i, (plus, minus, zero) in enumerate(masks):
+        up, down = P & plus | N & minus, P & minus | N & plus
+        orthogonal = not (P | N) & ~zero or up and down and (up != down or up & (up - 1))
+        up_ok |= bool(up) << i
+        down_ok |= bool(down) << i
+        zero_fails |= (not orthogonal) << i
+    return up_ok, down_ok, zero_fails
+
+
+def _passes(rows: tuple[int, int, int], pos: int, neg: int) -> bool:
+    """Does the rho with masks pos, neg pass the test whose rows are `_concordant_rows`?"""
+    up_ok, down_ok, zero_fails = rows
+    return not (pos & ~up_ok or neg & ~down_ok or zero_fails & ~(pos | neg))

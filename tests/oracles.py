@@ -7,7 +7,8 @@ per candidate.  Slow, but a second opinion.  The rational phase-1 simplex,
 the rational eliminations, products and elementary vectors, the set-based
 concordance test and the falsifier's finite-difference repair are kept here
 as the references for the integer tableau, the int-row core, the bit-mask
-concordance and the one-elimination repair the library runs. The cone
+concordance and the one-elimination repair the library runs. The closure of
+sigma(S) over SignVectors is the reference for its bit-mask pairs. The cone
 system that splits every coordinate as u - v is the reference for the
 presolve of `feasible_cone`, and the sweep over all of sigma(S), with one LP
 per tau of an interval class, is the reference for the half sweep and for
@@ -84,6 +85,38 @@ def enumerate_subspace_signs(S: Subspace):
         if strict_sign_feasible(Z, cand.entries) is not None:
             out.append(cand)
     return tuple(sorted(out, key=lambda v: v.entries))
+
+
+def signvector_closure(S: Subspace):
+    """sigma(S minus the origin) as sorted SignVectors: the closure of the
+    signs of the elementary vectors (from `fraction_elementary`) under
+    conformal composition, every nonzero sign vector for the full space. The
+    reference for the bit-mask pairs of `subspace_sign_vectors`."""
+    n = S.n
+    if S.dim == 0:
+        return ()
+    if S.kernel_rep().rows == 0:
+        return tuple(all_sign_vectors(n))
+    elementary = set(fraction_elementary(S))
+    restricted = {}
+    found = set(elementary)
+    newest = elementary
+    while newest:
+        composed = set()
+        for xp, xn in newest:
+            zero = ~(xp | xn) & ((1 << n) - 1)
+            if zero not in restricted:
+                restricted[zero] = {(yp & zero, yn & zero) for yp, yn in elementary}
+            composed.update((xp | yp, xn | yn) for yp, yn in restricted[zero])
+        newest = composed - found
+        found |= newest
+    return tuple(SignVector(c) for c in sorted(
+        tuple((p >> i & 1) - (m >> i & 1) for i in range(n)) for p, m in found))
+
+
+def decoded_sign_vectors(S: Subspace, caps=DEFAULT_CAPS):
+    """`subspace_sign_vectors` decoded to SignVectors, in its order."""
+    return tuple(SignVector.from_masks(p, m, S.n) for p, m in subspace_sign_vectors(S, caps))
 
 
 def fraction_phase1(D, b):
@@ -335,7 +368,7 @@ def full_sign_sweep(cls, S: Subspace, A=None, caps=DEFAULT_CAPS) -> SignRouteRes
     """`injcheck.signroute.sign_route` over every tau of sigma(S), in sweep
     order, with the set-based concordance test and one exact feasibility
     question per tau of an interval class (no sign screen)."""
-    taus = subspace_sign_vectors(S, caps)
+    taus = decoded_sign_vectors(S, caps)
     diag = {"taus": len(taus), "pairs_checked": 0}
     if isinstance(cls, Interval):
         for tau in taus:
@@ -351,7 +384,8 @@ def full_sign_sweep(cls, S: Subspace, A=None, caps=DEFAULT_CAPS) -> SignRouteRes
     W_out = _signsets_of(outer) if outer is not None else None
     W_in = _signsets_of(inner)
     K = Subspace.from_kernel_rep(A) if A is not None else None
-    rhos = _left_zero_signs(W_out, K, inner.rows, caps)
+    rhos = [SignVector.from_masks(p, m, inner.rows)
+            for p, m in _left_zero_signs(W_out, K, inner.rows, caps)]
     if W_out is None:
         diag["rhos"] = len(rhos)
     for tau in taus:

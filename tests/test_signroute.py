@@ -7,11 +7,13 @@ import pytest
 from oracles import (
     ALL_SIGN_SETS,
     all_sign_vectors,
+    decoded_sign_vectors,
     enumerate_subspace_signs,
     fraction_elementary,
     lp_concordant,
     full_sign_sweep,
     set_concordant_pair,
+    signvector_closure,
 )
 
 from injcheck.classes import (
@@ -73,13 +75,13 @@ DEGENERATE_IDS = ["zero-coordinate", "zero-coordinate-kernel", "parallel-coordin
 
 class TestSubspaceSignVectors:
     def test_full_space_is_every_nonzero_vector(self):
-        got = subspace_sign_vectors(Subspace.full(2))
+        got = decoded_sign_vectors(Subspace.full(2))
         assert len(got) == 8
         assert set(got) == set(all_sign_vectors(2))
 
     def test_plane_with_alternating_normal(self):
         S = Subspace.from_kernel_rep(M([1, -1, 1]))
-        got = subspace_sign_vectors(S)
+        got = decoded_sign_vectors(S)
         names = {"".join("+0-"[1 - e] for e in v.entries) for v in got}
         assert names == {"+++", "---", "++0", "--0", "0++", "0--",
                          "+0-", "-0+", "+--", "-++", "++-", "--+"}
@@ -87,7 +89,7 @@ class TestSubspaceSignVectors:
 
     def test_line(self):
         S = Subspace.from_image(RationalMatrix(2, 1, [[1], [1]]))
-        got = subspace_sign_vectors(S)
+        got = decoded_sign_vectors(S)
         assert [v.entries for v in got] == [(-1, -1), (1, 1)]
 
     def test_matches_brute_enumeration(self):
@@ -103,11 +105,11 @@ class TestSubspaceSignVectors:
             if S.dim == 0:
                 assert subspace_sign_vectors(S) == ()
                 continue
-            assert subspace_sign_vectors(S) == enumerate_subspace_signs(S)
+            assert decoded_sign_vectors(S) == enumerate_subspace_signs(S)
 
     @pytest.mark.parametrize("S", DEGENERATE_SUBSPACES, ids=DEGENERATE_IDS)
     def test_degenerate_subspaces_match_brute_enumeration(self, S):
-        assert subspace_sign_vectors(S) == enumerate_subspace_signs(S)
+        assert decoded_sign_vectors(S) == enumerate_subspace_signs(S)
 
     def test_needs_no_feasibility_problem(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -119,7 +121,7 @@ class TestSubspaceSignVectors:
         S = Subspace.from_image(M([1, 0, 2], [0, 1, -1], [1, 1, 0], [2, -1, 1],
                                   [0, 3, 1], [-1, 2, 2]))
         assert S.dim == 3
-        got = subspace_sign_vectors(S)
+        got = decoded_sign_vectors(S)
         assert got and set(got) == {-v for v in got}
         assert list(got) == sorted(got, key=lambda v: v.entries)
 
@@ -132,6 +134,7 @@ class TestSubspaceSignVectors:
         assert (S.n, S.dim) == (8, 6)
         got = subspace_sign_vectors(S)
         assert len(got) == len(set(got)) == 4388
+        assert decoded_sign_vectors(S) == signvector_closure(S)
 
     def test_every_reported_vector_is_realizable(self):
         # every tau in sigma(S) is realized in S with exactly its signs, and
@@ -144,7 +147,7 @@ class TestSubspaceSignVectors:
                     for _ in range(n if build == "image" else k)]
             S = (Subspace.from_image(RationalMatrix(n, k, rows)) if build == "image"
                  else Subspace.from_kernel_rep(RationalMatrix(k, n, rows)))
-            for tau in subspace_sign_vectors(S):
+            for tau in decoded_sign_vectors(S):
                 z = realize_sign_in_subspace(S, tau)
                 assert z is not None and S.contains(z) and sigma(z) == tau
             for _ in range(12):
@@ -177,22 +180,99 @@ class TestSubspaceSignVectors:
         assert err.value.cap_name == "sign_enum_dim"
 
     def test_kernel_sign_vectors(self):
-        got = subspace_sign_vectors(Subspace.from_kernel_rep(M([1, 1])))
+        got = decoded_sign_vectors(Subspace.from_kernel_rep(M([1, 1])))
         assert [v.entries for v in got] == [(-1, 1), (1, -1)]
 
 
+def _seeded_subspaces(rng, count):
+    """Image and kernel-rep subspaces with n up to 6, dimension 0 and the
+    full space included."""
+    yield Subspace.from_kernel_rep(M([1, 0, 0], [0, 1, 0], [0, 0, 1]))
+    for n in range(1, 6):
+        yield Subspace.full(n)
+    for k in range(count):
+        n = rng.randint(1, 6)
+        m = rng.randint(1, n)
+        rows = [[F(rng.randint(-2, 2)) for _ in range(m if k % 2 else n)]
+                for _ in range(n if k % 2 else m)]
+        yield (Subspace.from_image(RationalMatrix(n, m, rows)) if k % 2
+               else Subspace.from_kernel_rep(RationalMatrix(m, n, rows)))
+
+
+class TestMaskPairs:
+    """sigma(S) is held as (positive, negative) bit-mask pairs; decoded, it
+    is the SignVector closure it replaced (tests/oracles.py), in order."""
+
+    def test_decoded_pairs_match_the_signvector_closure(self):
+        shapes = set()
+        for S in _seeded_subspaces(random.Random(33), 60):
+            got = subspace_sign_vectors(S)
+            assert all(type(p) is int and type(m) is int and not p & m and p | m
+                       and (p | m) >> S.n == 0 for p, m in got), S
+            assert decoded_sign_vectors(S) == signvector_closure(S) == \
+                enumerate_subspace_signs(S), S
+            shapes.add((S.dim == 0, S.dim == S.n))
+        assert shapes == {(True, False), (False, True), (False, False)}
+
+    def test_swept_half_is_the_pairs_led_by_minus(self):
+        # the first half are exactly the pairs whose lowest support bit
+        # (coordinate 0 first) is negative
+        for S in _seeded_subspaces(random.Random(34), 60):
+            got = subspace_sign_vectors(S)
+            half = len(got) // 2
+            for i, (p, m) in enumerate(got):
+                lowest = (p | m) & -(p | m)
+                assert bool(m & lowest) == (i < half), (S, i)
+
+    def test_sweep_decodes_only_what_an_lp_or_the_hit_takes(self, monkeypatch):
+        decoded, handed = [], []
+        from_masks = SignVector.from_masks
+        monkeypatch.setattr(SignVector, "from_masks", classmethod(
+            lambda cls, p, m, n: decoded.append(from_masks(p, m, n)) or decoded[-1]))
+        pair, interval, hit = (signroute.pair_sign_feasible,
+                               signroute.interval_kernel_feasible, signroute._hit)
+        monkeypatch.setattr(signroute, "pair_sign_feasible",
+                            lambda B, tau, rho: handed.extend((tau, rho)) or pair(B, tau, rho))
+        monkeypatch.setattr(signroute, "interval_kernel_feasible",
+                            lambda D, S, tau, *a: handed.append(tau) or interval(D, S, tau, *a))
+
+        def hit_taking(inner, W_in, W_out, S, K, tau, rho, v):
+            if v is None:  # a Scaled hit reuses the pair its LP took
+                handed.extend((tau, rho))
+            return hit(inner, W_in, W_out, S, K, tau, rho, v)
+
+        monkeypatch.setattr(signroute, "_hit", hit_taking)
+        problems = [(cls, S, A) for inner in sorted(_MAKE_INNER) for cls, S, A in
+                    TestNoLpOutsideScaledPairs._problems(random.Random(37), _MAKE_INNER[inner])]
+        problems += [(Interval(D), S, A)
+                     for D, S, A in _random_interval_problems(random.Random(38), 60)]
+        verdicts = set()
+        for k, (cls, S, A) in enumerate(problems):
+            decoded.clear()
+            handed.clear()
+            res = sign_route(cls, S, A)
+            verdicts.add((isinstance(cls, Interval), res.injective))
+            assert decoded == handed, k
+            assert all(type(v) is SignVector for v in decoded), k
+        assert verdicts == {(i, j) for i in (False, True) for j in (False, True)}
+
+
 class TestElementaryVectors:
-    """`_elementary` reads each kernel off the int-row elimination; it must
-    give the keys, exact vectors and insertion order of the Fraction kernel
-    and product it replaced (tests/oracles.py)."""
+    """`_elementary` reads each kernel off the int-row elimination; decoded,
+    it must give the keys, exact vectors and insertion order of the Fraction
+    kernel and product it replaced (tests/oracles.py)."""
 
     @staticmethod
     def check(S):
         got = signroute._elementary(S)
         ref = fraction_elementary(S)
         assert list(got) == list(ref)
-        assert all(type(v) is Fraction for z in got.values() for v in z)
-        assert list(got.values()) == list(ref.values())
+        assert all(type(v) is int for nums, den in got.values() for v in (*nums, den))
+        scales = [s for _, s in S.image_basis().int_rows()]
+        decoded = [tuple(F(num, den * s) for num, s in zip(nums, scales))
+                   for nums, den in got.values()]
+        assert all(type(v) is Fraction for z in decoded for v in z)
+        assert decoded == list(ref.values())
 
     def test_matches_fraction_reference_on_seeded_subspaces(self):
         rng = random.Random(14)
@@ -499,6 +579,24 @@ def _random_subspace(rng, n):
 
 
 class TestOneSweep:
+    def test_left_zero_signs_are_sorted_masks(self):
+        # the rho of a left matrix or an outer sign-set factor, decoded, are
+        # the brute-force list in sweep order (0 in the middle of sigma(ker A))
+        rng = random.Random(12)
+        for k in range(120):
+            rows = rng.randint(1, 4)
+            A = W_out = None
+            if k % 2:
+                W_out = SignSetMatrix_random(rng, rng.randint(1, 3), rows)
+            else:
+                left = rng.randint(1, 2)
+                A = RationalMatrix(left, rows, [[rng.randint(-2, 2) for _ in range(rows)]
+                                                for _ in range(left)])
+            K = Subspace.from_kernel_rep(A) if A is not None else None
+            got = signroute._left_zero_signs(W_out, K, rows, Caps())
+            assert [SignVector.from_masks(p, m, rows).entries for p, m in got] == \
+                sorted(_brute_left_zero_signs(rows, A, W_out)), k
+
     def test_injective_sign_set_sweeps_check_every_pair(self):
         # every (tau, rho) pair of the half sweep reaches concordant_pair:
         # pairs_checked is half of |sigma(S)| times the number of signs the
@@ -673,10 +771,11 @@ class TestHalfSweep:
         swept = []
         original = signroute._concordant_rows
         monkeypatch.setattr(signroute, "_concordant_rows",
-                            lambda masks, tau: swept.append(tau) or original(masks, tau))
+                            lambda masks, p, m: swept.append((p, m)) or original(masks, p, m))
         res = sign_route(SignPattern(((1, 0), (0, 1))), Subspace.full(2), None)
         assert res.injective and res.diagnostics["taus"] == 8
-        assert swept == [sv(-1, -1), sv(-1, 0), sv(-1, 1), sv(0, -1)]
+        assert [SignVector.from_masks(p, m, 2) for p, m in swept] == \
+            [sv(-1, -1), sv(-1, 0), sv(-1, 1), sv(0, -1)]
 
 
 class TestIntervalScreen:
@@ -688,7 +787,7 @@ class TestIntervalScreen:
             verdicts.add(res.injective)
             full += S.dim == S.n
             skipped += sum(not _screen_passes(D, A, tau)
-                           for tau in subspace_sign_vectors(S)[:res.diagnostics["pairs_checked"]])
+                           for tau in decoded_sign_vectors(S)[:res.diagnostics["pairs_checked"]])
         assert verdicts == {True, False} and full > 0 and skipped > 0
 
     def test_one_lp_per_tau_that_passes_the_screen(self, monkeypatch):
@@ -699,7 +798,7 @@ class TestIntervalScreen:
         for k, (D, S, A) in enumerate(_random_interval_problems(random.Random(29), 200)):
             solved.clear()
             res = sign_route(Interval(D), S, A)
-            swept = subspace_sign_vectors(S)[:res.diagnostics["pairs_checked"]]
+            swept = decoded_sign_vectors(S)[:res.diagnostics["pairs_checked"]]
             assert solved == [tau for tau in swept if _screen_passes(D, A, tau)], k
 
     def test_readme_diagonal_solves_no_lp(self, monkeypatch):

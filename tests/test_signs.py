@@ -12,8 +12,10 @@ from injcheck.signs import (
     format_sign_set,
     parse_sign_set,
     sigma,
+    sign_masks,
     sign_of,
     sign_orthogonal,
+    sign_text,
     signset_row_orthogonal_witness,
 )
 
@@ -162,3 +164,15 @@ class TestSignOf:
         assert sign_of(F(5, 3)) == 1
         assert sign_of(0) == 0
         assert sign_of(F(-1, 7)) == -1
+
+
+class TestMasks:
+    def test_round_trip_and_text(self):
+        # every sign vector up to length 4, with Fraction and int entries
+        for n in range(5):
+            for v in all_sign_vectors(n, include_zero=True):
+                pos, neg = sign_masks(v.entries)
+                assert (pos, neg) == sign_masks([F(3 * s, 2) for s in v])
+                assert not pos & neg and (pos | neg) >> n == 0
+                assert SignVector.from_masks(pos, neg, n) == v
+                assert sign_text(pos, neg, n) == str(v)
