@@ -9,13 +9,16 @@ nonzero entry is not put in the tableau: it bounds its variable instead (see
 `feasible_cone`), so the sign rows of a sign-vector system cost no rows, and
 only unbounded coordinates are split into two nonnegative parts.
 
+Each input row h is scaled once, by `linalg.integer_row` as the rows of
+every exact elimination in `linalg` are, to the int row d*h, d the lcm of its
+denominators; the system is built from those ints with no Fraction between:
+h.x >= 1 is (d*h).x >= d, and a strict bound 1/|c| is the int pair (d, |c|).
 The tableau is fraction-free, as in Bareiss's elimination (Math. Comp. 1968),
 but it divides each updated row by the gcd of its entries instead of by the
 previous pivot. Each row of ints is a positive multiple of the row of the
 rational tableau. A positive factor changes no sign and no ratio, so every
 entering and leaving choice, and the returned point, are those of the
-rational simplex exactly. The rows start as `linalg.integer_row` scales them,
-as the rows of every exact elimination in `linalg` do.
+rational simplex exactly.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import RationalMatrix, integer_row, rat_vector
+from .linalg import RationalMatrix, integer_row, rat
 from .signs import SignVector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -37,10 +39,12 @@ def _primitive(row: list[int]) -> list[int]:
     return [v // g for v in row] if g > 1 else row
 
 
-def _phase1(D: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
+def _phase1(T: list[list[int]]) -> Optional[list[Fraction]]:
     """Find y >= 0 with Dy = b (b >= 0 required), or None.
 
-    Classic phase-1: one artificial per row, minimize their sum with Bland's
+    T[i] is a positive int multiple of the tableau row (D_i, e_i, b_i): the
+    columns of D, one artificial column per row, then the right side.
+    Classic phase-1: minimize the sum of the artificials with Bland's
     smallest-index rule for both the entering and the tie-broken leaving
     variable.
 
@@ -52,16 +56,12 @@ def _phase1(D: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fractio
     ratios are compared cross-multiplied. The point is read once at the end as
     y[bv] = rhs_i / T[i][bv].
     """
-    m = len(D)
+    m = len(T)
     if m == 0:
         return []
-    n = len(D[0])
+    n = len(T[0]) - m - 1
     total = n + m
-    T: list[list[int]] = []
-    for i in range(m):
-        row = list(D[i]) + [_ZERO] * m + [b[i]]
-        row[n + i] = _ONE
-        T.append(_primitive(integer_row(row)[0]))
+    T = [_primitive(row) for row in T]
     basis = list(range(n, total))
     # reduced costs, times L: cost 1 on artificials, 0 elsewhere
     lcm = math.lcm(*(T[i][n + i] for i in range(m)))
@@ -115,86 +115,104 @@ def feasible_cone(
 
     The constraint set is a cone, so strict rows are normalized to h.x >= 1;
     feasibility is unchanged and the returned witness satisfies every strict
-    row with slack at least 1.
+    row with slack at least 1. Entries are ints, Fractions or exact literal
+    strings; each row h is scaled once to the int row d*h by `integer_row`,
+    d the lcm of its denominators.
 
     Before the tableau is built, every unit row (one nonzero entry c on x_j)
     becomes a bound, the first step of LP presolve (Andersen & Andersen,
     Math. Programming 71, 1995): c x_j = 0 drops x_j; c x_j >= 0 makes
     x_j = s w_j and c x_j > 0 makes x_j = s (1/|c| + w_j), w_j >= 0, s the
     sign of c, with the largest 1/|c| when several strict rows name x_j; rows
-    that contradict each other answer None. Only the coordinates no unit row
-    names are split as x_j = u_j - v_j, so a sign-vector system, whose signs
-    are all unit rows, keeps just the rows of its matrix.
+    that contradict each other answer None. A bound 1/|c| is kept as the int
+    pair (d, |c|) and compared by cross-multiplying. Only the coordinates no
+    unit row names are split as x_j = u_j - v_j, so a sign-vector system,
+    whose signs are all unit rows, keeps just the rows of its matrix. Each
+    kept row goes into the tableau as ints: its u, v and w columns, surplus
+    -d, artificial d and right side d if strict, all times the lcm of the |c|
+    of the bounds it meets, the only way its right side can be fractional.
     """
-    eq_rows = [rat_vector(r) for r in eq]
-    nonneg_rows = [rat_vector(r) for r in nonneg]
-    strict_rows = [rat_vector(r) for r in strict]
-    for rows in (eq_rows, nonneg_rows, strict_rows):
+    scaled = []
+    for rows, kind in ((eq, "eq"), (nonneg, "weak"), (strict, "strict")):
         for r in rows:
-            if len(r) != n:
-                raise ValueError(f"constraint row length {len(r)} != {n}")
-    if not strict_rows:
+            row, scale = integer_row([v if isinstance(v, (int, Fraction)) else rat(v) for v in r])
+            if len(row) != n:
+                raise ValueError(f"constraint row length {len(row)} != {n}")
+            scaled.append((row, scale, kind))
+    if not strict:
         return tuple([_ZERO] * n)  # x = 0 satisfies all weak rows
 
     # the coordinates a unit row sets to 0, the signs the other unit rows give
-    # each coordinate, and the largest 1/|c| of its strict unit rows
+    # each coordinate, and the largest 1/|c| of its strict unit rows as (d, |c|)
     zero: set[int] = set()
     signs: dict[int, set[int]] = {}
-    low: dict[int, Fraction] = {}
-    kept: list[tuple[tuple[Fraction, ...], str]] = []
-    for rows, kind in ((eq_rows, "eq"), (nonneg_rows, "weak"), (strict_rows, "strict")):
-        for r in rows:
-            nonzero = [j for j, v in enumerate(r) if v]
-            if len(nonzero) != 1:
-                kept.append((r, kind))
-                continue
-            j = nonzero[0]
-            if kind == "eq":
-                zero.add(j)
-                continue
-            signs.setdefault(j, set()).add(1 if r[j] > 0 else -1)
-            if kind == "strict":
-                low[j] = max(low.get(j, _ZERO), 1 / abs(r[j]))
-    signed: dict[int, tuple[int, Fraction]] = {}  # x_j = s (low + w_j)
+    low: dict[int, tuple[int, int]] = {}
+    kept: list[tuple[list[int], int, str]] = []
+    for row, scale, kind in scaled:
+        nonzero = [j for j, v in enumerate(row) if v]
+        if len(nonzero) != 1:
+            kept.append((row, scale, kind))
+            continue
+        j = nonzero[0]
+        if kind == "eq":
+            zero.add(j)
+            continue
+        signs.setdefault(j, set()).add(1 if row[j] > 0 else -1)
+        t, c = low.get(j, (0, 1))
+        if kind == "strict" and scale * c > t * abs(row[j]):
+            low[j] = (scale, abs(row[j]))
+    signed: dict[int, int] = {}  # x_j = s (low + w_j)
     for j in sorted(zero | signs.keys()):
         if j in low and (j in zero or len(signs[j]) > 1):
             return None
         if j not in zero and len(signs[j]) == 1:
-            signed[j] = (next(iter(signs[j])), low.get(j, _ZERO))
+            signed[j] = next(iter(signs[j]))
         else:
             zero.add(j)
     free = [j for j in range(n) if j not in zero and j not in signed]
+    bounds = [(j, s * low[j][0], low[j][1]) for j, s in signed.items() if j in low]
 
     # columns: u and v of the free coordinates, w of the signed ones, then a
-    # surplus per kept weak or strict row; a row the bounds leave with a
-    # negative right side is negated, as phase 1 needs b >= 0
+    # surplus per kept weak or strict row, an artificial per kept row and the
+    # right side; a row the bounds leave with a negative right side is
+    # negated, as phase 1 needs b >= 0
     first_surplus = 2 * len(free) + len(signed)
-    width = first_surplus + sum(kind != "eq" for _, kind in kept)
-    D: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    width = first_surplus + sum(kind != "eq" for _, _, kind in kept)
+    T: list[list[int]] = []
     surplus = first_surplus
-    for r, kind in kept:
-        row = ([r[j] for j in free] + [-r[j] for j in free]
-               + [s * r[j] for j, (s, _) in signed.items()] + [_ZERO] * (width - first_surplus))
+    for i, (row, scale, kind) in enumerate(kept):
+        shifts = [(row[j] * st, c) for j, st, c in bounds if row[j]]
+        den = math.lcm(*(c for _, c in shifts))
+        rhs = den * scale * (kind == "strict") - sum(v * (den // c) for v, c in shifts)
+        f = -den if rhs < 0 else den
+        line = ([f * row[j] for j in free] + [-f * row[j] for j in free]
+                + [f * s * row[j] for j, s in signed.items()]
+                + [0] * (width - first_surplus + len(kept)) + [abs(rhs)])
         if kind != "eq":
-            row[surplus] = Fraction(-1)
+            line[surplus] = -f * scale
             surplus += 1
-        rhs = (_ONE if kind == "strict" else _ZERO) - sum(
-            s * bound * r[j] for j, (s, bound) in signed.items())
-        if rhs < 0:
-            row, rhs = [-v for v in row], -rhs
-        D.append(row)
-        b.append(rhs)
+        line[width + i] = den * scale
+        T.append(line)
 
-    y = _phase1(D, b) if D else [_ZERO] * width
+    y = _phase1(T) if T else [_ZERO] * width
     if y is None:
         return None
     x = [_ZERO] * n
     for k, j in enumerate(free):
         x[j] = y[k] - y[len(free) + k]
-    for k, (j, (s, bound)) in enumerate(signed.items()):
-        x[j] = s * (bound + y[2 * len(free) + k])
+    for k, (j, s) in enumerate(signed.items()):
+        x[j] = s * (Fraction(*low.get(j, (0, 1))) + y[2 * len(free) + k])
     return tuple(x)
+
+
+def _sign_entries(signs, name: str) -> tuple[int, ...]:
+    """The entries of a SignVector or sign sequence; a ValueError names one
+    outside {-1, 0, 1}."""
+    entries = tuple(signs.entries if isinstance(signs, SignVector) else signs)
+    bad = [i for i, s in enumerate(entries) if s not in (-1, 0, 1)]
+    if bad:
+        raise ValueError(f"{name}[{bad[0]}] = {entries[bad[0]]!r} is not a sign -1, 0 or 1")
+    return tuple(map(int, entries))
 
 
 def strict_sign_feasible(
@@ -207,10 +225,10 @@ def strict_sign_feasible(
 
     tau and each rho may be SignVector objects or plain sign sequences. Zero
     signs become equalities, nonzero signs strict inequalities of the matching
-    direction; the rows of tau are unit rows, which `feasible_cone` turns
+    direction; the rows of tau are int unit rows, which `feasible_cone` turns
     into bounds.
     """
-    tau_entries = tau.entries if isinstance(tau, SignVector) else tuple(int(s) for s in tau)
+    tau_entries = _sign_entries(tau, "tau")
     n = len(tau_entries)
     eq: list[Sequence] = []
     strict: list[Sequence] = []
@@ -219,24 +237,16 @@ def strict_sign_feasible(
             raise ValueError(f"E has {E.cols} columns, tau has length {n}")
         eq.extend(E.data)
 
-    def add_sign_rows(row, s):
-        if s == 0:
-            eq.append(row)
-        elif s > 0:
-            strict.append(row)
-        else:
-            strict.append([-v for v in row])
-
     for i, s in enumerate(tau_entries):
-        unit = [_ZERO] * n
-        unit[i] = _ONE
-        add_sign_rows(unit, s)
+        unit = [0] * n
+        unit[i] = s or 1
+        (strict if s else eq).append(unit)
     for C, rho in extra:
-        rho_entries = rho.entries if isinstance(rho, SignVector) else tuple(int(s) for s in rho)
+        rho_entries = _sign_entries(rho, "rho")
         if C.cols != n:
             raise ValueError(f"extra matrix has {C.cols} columns, expected {n}")
         if C.rows != len(rho_entries):
             raise ValueError("extra sign vector length mismatch")
-        for i, s in enumerate(rho_entries):
-            add_sign_rows(list(C.data[i]), s)
+        for row, s in zip(C.data, rho_entries):
+            (strict if s else eq).append([-v for v in row] if s < 0 else row)
     return feasible_cone(n, eq=eq, strict=strict)

@@ -153,8 +153,8 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
 
-def integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(s * row as ints, s), with s the lcm of the row's denominators."""
+def integer_row(row: Sequence) -> tuple[list[int], int]:
+    """(s * row as ints, s), s the lcm of the denominators of its int or Fraction entries."""
     scale = math.lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row], scale
 

@@ -282,11 +282,11 @@ def _interval_row_constraints(D: IntervalBox, i: int, tau: SignVector, width: in
     their total count; u_index is the column of u_i or None when u is
     identically zero."""
     n = len(tau)
-    base = [_ZERO] * width
+    base = [0] * width
     if u_index is not None:
-        base[u_index] = _ONE
+        base[u_index] = 1
 
-    points = [_ZERO] * width  # sum of point entries c_ij z_j
+    points = [0] * width  # sum of point entries c_ij z_j
     active: list[tuple[int, IntervalEntry]] = []
     for j in range(n):
         if tau[j] == 0:
@@ -306,10 +306,10 @@ def _interval_row_constraints(D: IntervalBox, i: int, tau: SignVector, width: in
 
     punctured_alone = len(active) == 1 and active[0][1].punctured
     # lower bound: residual >= sum of per-entry range minima (when finite)
-    lo_coeffs = [_ZERO] * width
+    lo_coeffs = [0] * width
     lo_open = False
     lo_finite = True
-    hi_coeffs = [_ZERO] * width
+    hi_coeffs = [0] * width
     hi_open = False
     hi_finite = True
     for j, e in active:
@@ -360,7 +360,7 @@ def interval_kernel_feasible(
     plan = _RowPlan()
 
     def pad(row, offset):
-        out = [_ZERO] * width
+        out = [0] * width
         for k, v in enumerate(row):
             out[offset + k] = v
         return out
@@ -371,14 +371,9 @@ def interval_kernel_feasible(
         for ar in A.data:
             plan.eq.append(pad(ar, n))
     for j, s in enumerate(tau):
-        unit = [_ZERO] * width
-        unit[j] = _ONE
-        if s == 0:
-            plan.eq.append(unit)
-        elif s > 0:
-            plan.strict.append(unit)
-        else:
-            plan.strict.append([-v for v in unit])
+        unit = [0] * width
+        unit[j] = s or 1
+        (plan.strict if s else plan.eq).append(unit)
 
     for i in range(r):
         _interval_row_constraints(D, i, tau, width, n + i if has_u else None, plan)
@@ -460,22 +455,22 @@ def _solve_row_products(active: list[tuple[int, IntervalEntry]], tau, z,
     eq: list[list[Fraction]] = []
     nonneg: list[list[Fraction]] = []
     strict: list[list[Fraction]] = []
-    total = [_ONE] * m + [-T]
+    total = [1] * m + [-T]
     eq.append(total)
-    t_row = [_ZERO] * m + [_ONE]
+    t_row = [0] * m + [1]
     strict.append(t_row)
     punctured_idx: list[int] = []
     for k, (j, e) in enumerate(active):
         lo, hi, lo_o, hi_o = _product_range(e, tau[j])
         azj = z[j] if z[j] > 0 else -z[j]
         if lo is not None:
-            row = [_ZERO] * width
-            row[k] = _ONE
+            row = [0] * width
+            row[k] = 1
             row[m] = -lo * azj
             (strict if lo_o else nonneg).append(row)
         if hi is not None:
-            row = [_ZERO] * width
-            row[k] = -_ONE
+            row = [0] * width
+            row[k] = -1
             row[m] = hi * azj
             (strict if hi_o else nonneg).append(row)
         if e.punctured:
@@ -483,8 +478,8 @@ def _solve_row_products(active: list[tuple[int, IntervalEntry]], tau, z,
     for orientation in itertools.product((1, -1), repeat=len(punctured_idx)):
         extra = []
         for k, o in zip(punctured_idx, orientation):
-            row = [_ZERO] * width
-            row[k] = Fraction(o)
+            row = [0] * width
+            row[k] = o
             extra.append(row)
         sol = feasible_cone(width, eq=eq, nonneg=nonneg, strict=strict + extra)
         if sol is not None:

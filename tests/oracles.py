@@ -16,12 +16,13 @@ the sign screen.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from injcheck.classes import Interval, Member, Product, Scaled, SignSetMatrix
 from injcheck.feasibility import strict_sign_feasible
 from injcheck.limits import DEFAULT_CAPS
-from injcheck.linalg import RationalMatrix, Subspace, kernel_basis, rat_vector
+from injcheck.linalg import RationalMatrix, Subspace, integer_row, kernel_basis, rat_vector
 from injcheck.signroute import (
     SignRouteHit,
     SignRouteResult,
@@ -203,6 +204,145 @@ def fraction_cone(n, eq=(), nonneg=(), strict=()):
         return tuple([Fraction(0)] * n)
     y = fraction_phase1(*free_split_system(n, eq, nonneg, strict))
     return None if y is None else tuple(y[i] - y[n + i] for i in range(n))
+
+
+def _primitive(row):
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def fraction_row_phase1(D, b):
+    """Find y >= 0 with Dy = b (b >= 0 required), or None: the int tableau of
+    `injcheck.feasibility._phase1` started from Fraction rows, each row
+    (D_i, e_i, b_i) scaled to ints by `integer_row`. Kept as the reference for
+    the int rows `feasible_cone` now builds itself; pivots as `_phase1` does.
+    """
+    m = len(D)
+    if m == 0:
+        return []
+    n = len(D[0])
+    total = n + m
+    T = []
+    for i in range(m):
+        row = list(D[i]) + [Fraction(0)] * m + [b[i]]
+        row[n + i] = Fraction(1)
+        T.append(_primitive(integer_row(row)[0]))
+    basis = list(range(n, total))
+    lcm = math.lcm(*(T[i][n + i] for i in range(m)))
+    reduced = [lcm if n <= j < total else 0 for j in range(total + 1)]
+    for i in range(m):
+        w = lcm // T[i][n + i]
+        reduced = [r - w * v for r, v in zip(reduced, T[i])]
+    reduced = _primitive(reduced)
+    while True:
+        enter = next((j for j in range(total) if reduced[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            coeff = T[i][enter]
+            if coeff > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = T[i][total] * T[leave][enter]
+                rhs = T[leave][total] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("phase-1 objective unbounded; malformed tableau")
+        lead = T[leave]
+        p = lead[enter]
+        for i in range(m):
+            f = T[i][enter]
+            if i != leave and f != 0:
+                T[i] = _primitive([p * a - f * c for a, c in zip(T[i], lead)])
+        f = reduced[enter]
+        reduced = _primitive([p * a - f * c for a, c in zip(reduced, lead)])
+        basis[leave] = enter
+    if reduced[total] != 0:
+        return None
+    y = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            y[bv] = Fraction(T[i][total], T[i][bv])
+    return y
+
+
+def presolved_fraction_cone(n, eq=(), nonneg=(), strict=()):
+    """`injcheck.feasibility.feasible_cone` with its system assembled over
+    Fraction: every row read by `rat_vector`, the unit-row presolve with
+    Fraction bounds, Fraction tableau rows handed to `fraction_row_phase1`.
+    The reference, point for point, for the cone built on int rows."""
+    eq_rows = [rat_vector(r) for r in eq]
+    nonneg_rows = [rat_vector(r) for r in nonneg]
+    strict_rows = [rat_vector(r) for r in strict]
+    for rows in (eq_rows, nonneg_rows, strict_rows):
+        for r in rows:
+            if len(r) != n:
+                raise ValueError(f"constraint row length {len(r)} != {n}")
+    if not strict_rows:
+        return tuple([Fraction(0)] * n)
+    zero = set()
+    signs = {}
+    low = {}
+    kept = []
+    for rows, kind in ((eq_rows, "eq"), (nonneg_rows, "weak"), (strict_rows, "strict")):
+        for r in rows:
+            nonzero = [j for j, v in enumerate(r) if v]
+            if len(nonzero) != 1:
+                kept.append((r, kind))
+                continue
+            j = nonzero[0]
+            if kind == "eq":
+                zero.add(j)
+                continue
+            signs.setdefault(j, set()).add(1 if r[j] > 0 else -1)
+            if kind == "strict":
+                low[j] = max(low.get(j, Fraction(0)), 1 / abs(r[j]))
+    signed = {}  # x_j = s (low + w_j)
+    for j in sorted(zero | signs.keys()):
+        if j in low and (j in zero or len(signs[j]) > 1):
+            return None
+        if j not in zero and len(signs[j]) == 1:
+            signed[j] = (next(iter(signs[j])), low.get(j, Fraction(0)))
+        else:
+            zero.add(j)
+    free = [j for j in range(n) if j not in zero and j not in signed]
+    first_surplus = 2 * len(free) + len(signed)
+    width = first_surplus + sum(kind != "eq" for _, kind in kept)
+    D, b = [], []
+    surplus = first_surplus
+    for r, kind in kept:
+        row = ([r[j] for j in free] + [-r[j] for j in free]
+               + [s * r[j] for j, (s, _) in signed.items()]
+               + [Fraction(0)] * (width - first_surplus))
+        if kind != "eq":
+            row[surplus] = Fraction(-1)
+            surplus += 1
+        rhs = Fraction(kind == "strict") - sum(
+            s * bound * r[j] for j, (s, bound) in signed.items())
+        if rhs < 0:
+            row, rhs = [-v for v in row], -rhs
+        D.append(row)
+        b.append(rhs)
+    y = fraction_row_phase1(D, b) if D else [Fraction(0)] * width
+    if y is None:
+        return None
+    x = [Fraction(0)] * n
+    for k, j in enumerate(free):
+        x[j] = y[k] - y[len(free) + k]
+    for k, (j, (s, bound)) in enumerate(signed.items()):
+        x[j] = s * (bound + y[2 * len(free) + k])
+    return tuple(x)
+
+
+def integer_tableau(D, b):
+    """The int rows `injcheck.feasibility._phase1` takes for the system
+    Dy = b: each row (D_i, e_i, b_i) scaled to ints by `integer_row`."""
+    m = len(D)
+    return [integer_row(list(D[i]) + [int(k == i) for k in range(m)] + [b[i]])[0]
+            for i in range(m)]
 
 
 def fraction_rref(data, rows, cols):

@@ -1,7 +1,10 @@
 """The package surface that callers and the benchmark harness depend on."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,17 +38,55 @@ def test_route_values():
     ]
 
 
-def test_traced_functions_exist():
+def _tracing():
     path = ROOT / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def _traced(name):
+    layer, fn = name.split(".", 1)
+    target = importlib.import_module(f"injcheck.{layer}")
+    for part in fn.split("."):
+        target = getattr(target, part)
+    return target
+
+
+def test_traced_functions_exist():
+    tracing = _tracing()
     assert len(tracing.TRACED) == 17
     for layer, fn in tracing.TRACED:
-        target = importlib.import_module(f"injcheck.{layer}")
-        for part in fn.split("."):
-            target = getattr(target, part)
-        assert callable(target), f"{layer}.{fn}"
+        assert callable(_traced(f"{layer}.{fn}")), f"{layer}.{fn}"
+
+
+def test_work_count_hooks_bind_their_functions_arguments():
+    # a hook is called as hook(tracer, idx, counts, result, *args, **kwargs)
+    # with the traced call's own arguments; one that no longer binds them
+    # raises inside the wrapper, which a traced run shows only as a failed
+    # operation
+    hooks = _tracing()._HOOKS
+    assert "feasibility.feasible_cone" in hooks
+    for name, hook in hooks.items():
+        params = list(inspect.signature(_traced(name)).parameters.values())
+        hook_sig = inspect.signature(hook)
+        named = [p for p in list(hook_sig.parameters.values())[4:]
+                 if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+        assert [(p.name, p.default) for p in named] == [
+            (p.name, p.default) for p in params[:len(named)]], name
+        required = [p for p in params if p.default is p.empty
+                    and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        by_position = [p for p in params
+                       if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        by_keyword = [p for p in params
+                      if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+        head = (None, 0, Counter(), None)
+        hook_sig.bind(*head, *(object() for _ in required))
+        hook_sig.bind(*head, *(object() for _ in by_position))
+        hook_sig.bind(*head, *(object() for _ in required),
+                      **{p.name: object() for p in by_keyword if p not in required})
+        hook_sig.bind(*head, **{p.name: object() for p in by_keyword})
 
 
 def test_injectivity_imports_nothing_from_oracle():

@@ -16,7 +16,15 @@ from injcheck.feasibility import feasible_cone, strict_sign_feasible
 from injcheck.linalg import RationalMatrix
 from injcheck.signs import SignVector
 
-from oracles import fraction_cone, fraction_phase1, free_split_system
+import oracles
+from oracles import (
+    fraction_cone,
+    fraction_phase1,
+    fraction_row_phase1,
+    free_split_system,
+    integer_tableau,
+    presolved_fraction_cone,
+)
 
 F = Fraction
 
@@ -132,15 +140,17 @@ def phase1_point(n, eq, nonneg, strict):
     """The int tableau's point of the free split system, after checking that
     the Fraction simplex returns the very same one."""
     D, b = free_split_system(n, eq, nonneg, strict)
-    y = feasibility._phase1(D, b)
-    assert y == fraction_phase1(D, b)
+    y = feasibility._phase1(integer_tableau(D, b))
+    assert y == fraction_phase1(D, b) == fraction_row_phase1(D, b)
     return None if y is None else tuple(y[i] - y[n + i] for i in range(n))
 
 
 def assert_matches_reference(n, eq=(), nonneg=(), strict=()):
-    """feasible_cone answers None exactly when the free split cone does, and
-    its point meets every row; returns the point."""
+    """feasible_cone answers None exactly when the free split cone does, its
+    point meets every row and is the point of the cone assembled over
+    Fraction; returns the point."""
     x = feasible_cone(n, eq=eq, nonneg=nonneg, strict=strict)
+    assert x == presolved_fraction_cone(n, eq=eq, nonneg=nonneg, strict=strict)
     assert (x is None) == (fraction_cone(n, eq=eq, nonneg=nonneg, strict=strict) is None)
     if x is not None:
         assert_meets(x, eq, nonneg, strict)
@@ -236,11 +246,13 @@ class TestPresolve:
         ([_unit(2, 0, 3)], [], [_unit(2, 0, -1)]),  # x_0 = 0 and x_0 < 0
         ([], [_unit(2, 1, F(-1, 2))], [_unit(2, 1, 5), [1, 1]]),  # x_1 <= 0 and x_1 > 0
         ([], [], [_unit(2, 0, 2), _unit(2, 0, -2)]),  # x_0 > 0 and x_0 < 0
+        ([], [_unit(2, 0, 3), _unit(2, 0, "-1/2")], [_unit(2, 0, F(2, 3))]),  # x_0 = 0 by weak rows
         ([], [], [[0, 0]]),  # 0 > 0
     ])
     def test_contradictory_rows_are_infeasible(self, eq, nonneg, strict):
         assert feasible_cone(2, eq=eq, nonneg=nonneg, strict=strict) is None
         assert fraction_cone(2, eq=eq, nonneg=nonneg, strict=strict) is None
+        assert presolved_fraction_cone(2, eq=eq, nonneg=nonneg, strict=strict) is None
 
     def test_largest_strict_bound_wins(self):
         strict = [_unit(2, 0, 4), _unit(2, 0, F(1, 3)), _unit(2, 1, -2), [1, 1]]
@@ -255,7 +267,7 @@ class TestPresolve:
         assert_meets(x, (), [_unit(3, 1, 2)], [[1, 1, 0], _unit(3, 2, 1)])
 
     def test_presolve_that_leaves_no_rows(self, monkeypatch):
-        def refuse(D, b):
+        def refuse(T):
             raise AssertionError("a system with no rows left reached the tableau")
 
         monkeypatch.setattr(feasibility, "_phase1", refuse)
@@ -269,9 +281,136 @@ class TestPresolve:
         # column per coordinate and per strict row of B
         shapes = []
         original = feasibility._phase1
-        monkeypatch.setattr(feasibility, "_phase1",
-                            lambda D, b: shapes.append((len(D), len(D[0]))) or original(D, b))
+        monkeypatch.setattr(feasibility, "_phase1",  # (rows, columns of D)
+                            lambda T: shapes.append((len(T), len(T[0]) - len(T) - 1)) or original(T))
         B = M([1, -2, 1], [2, 1, -1])
         v = strict_sign_feasible(None, SignVector((1, 1, -1)), extra=[(B, SignVector((0, 1)))])
         assert v is not None and B.apply(v)[0] == 0 and B.apply(v)[1] > 0
         assert shapes == [(2, 3 + 1)]
+
+
+def _mixed_cones(seed, count):
+    """Seeded cones of int, Fraction and literal-string entries, with unit
+    rows of |c| = 1 and |c| != 1 among the general rows of every kind."""
+    rng = random.Random(seed)
+    coefficients = (1, -1, 2, -3, F(1, 2), F(-2, 5), "7/3", "-3/4", F(6, 4))
+
+    def entry():
+        v = F(rng.randint(-4, 4), rng.randint(1, 6))
+        return rng.choice((v, str(v), int(v)))
+
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        cone = {"eq": [], "nonneg": [], "strict": []}
+        for kind in cone:
+            for _ in range(rng.choice((0, 1, 2))):
+                cone[kind].append([entry() if rng.random() < 0.7 else 0 for _ in range(n)])
+            for _ in range(rng.choice((0, 1, 2, 3))):
+                cone[kind].append(_unit(n, rng.randrange(n), rng.choice(coefficients)))
+        yield n, cone
+
+
+class TestIntRows:
+    """`feasible_cone` scales each row to ints once and builds its tableau on
+    them; `oracles.presolved_fraction_cone`, the same presolve and tableau
+    assembled over Fraction, must return the very same point."""
+
+    def test_random_cones_point_for_point(self):
+        seen = set()
+        for n, cone in _mixed_cones(97, 600):
+            x = assert_matches_reference(n, **cone)
+            units = {kind: [(next(j for j, v in enumerate(r) if F(v)), F(next(v for v in r if F(v))))
+                            for r in rows if sum(1 for v in r if F(v)) == 1]
+                     for kind, rows in cone.items()}
+            strict_at = {}
+            for j, c in units["strict"]:
+                strict_at.setdefault(j, set()).add(c)
+            weak_at = {}
+            for j, c in units["nonneg"]:
+                weak_at.setdefault(j, set()).add(c > 0)
+            if x is not None:
+                if any(abs(c) != 1 for cs in strict_at.values() for c in cs):
+                    seen.add("strict |c| != 1")
+                if any(len({abs(c) for c in cs}) > 1 for cs in strict_at.values()):
+                    seen.add("several strict bounds on one coordinate")
+                if any(len(sides) == 2 for sides in weak_at.values()):
+                    seen.add("weak rows on both sides")
+                if all(sum(1 for v in r if F(v)) == 1 for rows in cone.values() for r in rows):
+                    seen.add("no row left")
+            else:
+                if any(j in strict_at for j, _ in units["eq"]):
+                    seen.add("strict against eq")
+                if any(len({c > 0 for c in cs}) == 2 for cs in strict_at.values()):
+                    seen.add("strict against strict")
+                if any(j in strict_at and {c > 0 for c in strict_at[j]} != sides
+                       for j, sides in weak_at.items()):
+                    seen.add("strict against weak")
+        assert seen == {"strict |c| != 1", "several strict bounds on one coordinate",
+                        "weak rows on both sides", "no row left", "strict against eq",
+                        "strict against strict", "strict against weak"}
+
+    def test_tableau_rows_are_the_primitive_rows_of_the_fraction_system(self, monkeypatch):
+        # a positive scale on one column (a surplus, say) moves no pivot and
+        # no returned point, so the rows themselves are compared
+        handed = []
+        phase1, reference = feasibility._phase1, oracles.fraction_row_phase1
+        monkeypatch.setattr(feasibility, "_phase1", lambda T: handed.append(T) or phase1(T))
+        monkeypatch.setattr(oracles, "fraction_row_phase1",
+                            lambda D, b: handed.append((D, b)) or reference(D, b))
+        systems = 0
+        for n, cone in _mixed_cones(13, 600):
+            assert_matches_reference(n, **cone)
+            while handed:
+                T, (D, b) = handed.pop(0), handed.pop(0)
+                assert [feasibility._primitive(r) for r in T] == [
+                    feasibility._primitive(r) for r in integer_tableau(D, b)]
+                systems += 1
+        assert systems > 100
+
+    def test_bounds_with_denominators_meet_a_kept_row(self):
+        # x_0 > 0 twice (bounds 3/7 and 2/5, the larger wins), x_1 < 0 with
+        # bound 4/3, and kept rows whose right sides the bounds make fractional
+        eq = [[F(1, 2), 1, F(-1, 3)]]
+        nonneg = [["2/3", F(5, 2), 1]]
+        strict = [_unit(3, 0, "7/3"), _unit(3, 0, F(5, 2)), _unit(3, 1, F(-3, 4)), [F(1, 6), 0, 1]]
+        x = assert_matches_reference(3, eq, nonneg, strict)
+        assert x is not None and x[0] >= F(3, 7) and x[1] <= F(-4, 3)
+
+    def test_int_fraction_and_string_rows_give_one_point(self):
+        eq = [[1, -2, 0, 3]]
+        nonneg = [[0, 1, 1, -1], [0, 0, -2, 0]]
+        strict = [[4, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, -3]]
+        points = {feasible_cone(4, eq=[[form(v) for v in r] for r in eq],
+                                nonneg=[[form(v) for v in r] for r in nonneg],
+                                strict=[[form(v) for v in r] for r in strict])
+                  for form in (int, F, str, lambda v: F(2 * v, 2))}
+        assert len(points) == 1
+        (x,) = points
+        assert x is not None and all(type(v) is F for v in x)
+        assert x == presolved_fraction_cone(4, eq, nonneg, strict)
+
+    @pytest.mark.parametrize("kind", ["eq", "nonneg", "strict"])
+    def test_float_entries_raise(self, kind):
+        rows = {"eq": [[1, 0]], "nonneg": [], "strict": [[0, 1]]}
+        rows[kind] = rows[kind] + [[0.5, 1]]
+        with pytest.raises(TypeError, match="expected an exact rational"):
+            feasible_cone(2, **rows)
+
+
+class TestSignEntries:
+    @pytest.mark.parametrize("tau, extra, message", [
+        ((1, 2), (), r"tau\[1\] = 2 "),
+        ((0, None), (), r"tau\[1\] = None "),
+        ((1, -1), [(M([1, 1]), (F(1, 2),))], r"rho\[0\] = Fraction\(1, 2\) "),
+        ((1, 0), [(M([1, 0], [0, 1]), (1, -5))], r"rho\[1\] = -5 "),
+    ])
+    def test_non_signs_are_rejected(self, tau, extra, message):
+        with pytest.raises(ValueError, match=message):
+            strict_sign_feasible(None, tau, extra=extra)
+
+    def test_plain_sign_sequences_match_sign_vectors(self):
+        B = M([1, -2, 1], [2, 1, -1])
+        plain = strict_sign_feasible(None, (1, 1, -1), extra=[(B, [0, 1])])
+        assert plain == strict_sign_feasible(None, SignVector((1, 1, -1)),
+                                             extra=[(B, SignVector((0, 1)))])
+        assert plain is not None
