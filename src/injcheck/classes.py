@@ -16,12 +16,10 @@ Atom naming (stable within a run, positional within each factor):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .limits import CapExceeded, DEFAULT_CAPS
 from .linalg import MatrixTextError, RationalMatrix, Subspace, parse_rational_token, rat, read_grid
 from .signs import SignSet, format_sign_set, parse_sign_set, sign_of
 
@@ -208,13 +206,6 @@ class SignSetMatrix:
     def is_pattern(self) -> bool:
         return all(len(s) == 1 for row in self.entries for s in row)
 
-    def pattern_count(self) -> int:
-        count = 1
-        for row in self.entries:
-            for s in row:
-                count *= len(s)
-        return count
-
     def contains(self, M: RationalMatrix) -> bool:
         if (M.rows, M.cols) != (self.rows, self.cols):
             return False
@@ -278,35 +269,6 @@ class Scaled(MatrixClass):
 
 
 @dataclass(frozen=True, eq=False)
-class SignPattern(MatrixClass):
-    """All matrices with exactly the given sign in every entry."""
-
-    signs: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        for row in self.signs:
-            for s in row:
-                if s not in (-1, 0, 1):
-                    raise ValueError(f"bad sign {s!r}")
-        if self.signs and len({len(r) for r in self.signs}) > 1:
-            raise ValueError("ragged sign pattern")
-
-    @property
-    def rows(self) -> int:
-        return len(self.signs)
-
-    @property
-    def cols(self) -> int:
-        return len(self.signs[0]) if self.signs else 0
-
-    def to_signsets(self) -> SignSetMatrix:
-        return SignSetMatrix.from_signs(self.signs)
-
-    def describe(self) -> str:
-        return f"sign-pattern({self.rows}x{self.cols})"
-
-
-@dataclass(frozen=True, eq=False)
 class SignSets(MatrixClass):
     """All matrices whose entry signs lie in the given sign sets."""
 
@@ -322,6 +284,12 @@ class SignSets(MatrixClass):
 
     def describe(self) -> str:
         return f"sign-sets({self.rows}x{self.cols})"
+
+
+def SignPattern(signs: Sequence[Sequence[int]]) -> SignSets:
+    """All matrices with exactly the given sign in every entry: the sign-set
+    class whose entries each hold one sign."""
+    return SignSets(SignSetMatrix.from_signs(signs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,23 +371,22 @@ def augment_with_kernel_rep(S: Subspace, inner: MatrixClass) -> Augmented:
     return Augmented(S.kernel_rep(), inner)
 
 
-def enumerate_patterns(W: SignSetMatrix, cap: Optional[int] = None) -> list[SignPattern]:
-    """All sign patterns selecting one sign per entry, row-major lexicographic.
-
-    Raises CapExceeded (naming the exact count) if there are more than `cap`.
-    """
-    if cap is None:
-        cap = DEFAULT_CAPS.patterns
-    count = W.pattern_count()
-    if count > cap:
-        raise CapExceeded("patterns", count, cap)
-    per_entry = [sorted(s) for row in W.entries for s in row]
-    rows, cols = W.rows, W.cols
-    out = []
-    for combo in itertools.product(*per_entry):
-        grid = tuple(tuple(combo[i * cols + j] for j in range(cols)) for i in range(rows))
-        out.append(SignPattern(grid))
-    return out
+def interval_hull(cls: MatrixClass) -> MatrixClass:
+    """The same set of matrices with every SignSets factor that has an entry
+    of several signs replaced by its interval hull (d_of_signsets), so that
+    the class has a symbolic view; cls itself when no factor has one."""
+    if isinstance(cls, SignSets) and not cls.W.is_pattern:
+        return Interval(d_of_signsets(cls.W))
+    if isinstance(cls, Product):
+        left = cls.left if isinstance(cls.left, RationalMatrix) else interval_hull(cls.left)
+        right = interval_hull(cls.right)
+        if left is not cls.left or right is not cls.right:
+            return Product(left, right)
+    elif isinstance(cls, Augmented):
+        inner = interval_hull(cls.inner)
+        if inner is not cls.inner:
+            return Augmented(cls.Z, inner)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +487,6 @@ def class_contains(cls: MatrixClass, M: RationalMatrix,
             )
             return expect == M
         return _scaled_contains_matrix(cls.B, M)
-    if isinstance(cls, SignPattern):
-        return (M.rows, M.cols) == (cls.rows, cls.cols) and all(
-            sign_of(M.at(i, j)) == cls.signs[i][j]
-            for i in range(cls.rows) for j in range(cls.cols)
-        )
     if isinstance(cls, SignSets):
         return cls.W.contains(M)
     if isinstance(cls, Interval):
@@ -921,19 +883,18 @@ def _multiply_views(L, left_view: Optional[SymbolicView],
 def symbolic_view(cls: MatrixClass, namer: Optional[_AtomNamer] = None) -> SymbolicView:
     """Entrywise polynomial description of the class, with atom domains and an
     exact member builder. Raises UnsupportedClassError for sign-set entries
-    with more than one sign (enumerate patterns or use the sign route instead).
+    with more than one sign (take the interval_hull of the class, which holds
+    the same matrices, or use the sign route instead).
     """
     if namer is None:
         namer = _AtomNamer()
     if isinstance(cls, Scaled):
         return _view_scaled(cls, namer, drop_row_scalings=False)
-    if isinstance(cls, SignPattern):
-        return _view_pattern(cls.signs, namer)
     if isinstance(cls, SignSets):
         if not cls.W.is_pattern:
             raise UnsupportedClassError(
                 "sign-set entries with several signs have no single symbolic view; "
-                "enumerate patterns or use the sign route"
+                "take the interval hull or use the sign route"
             )
         signs = tuple(tuple(next(iter(s)) for s in row) for row in cls.W.entries)
         return _view_pattern(signs, namer)
@@ -965,7 +926,7 @@ def symbolic_view(cls: MatrixClass, namer: Optional[_AtomNamer] = None) -> Symbo
         # class x class: positive row scalings of an inner scaled factor are
         # absorbed by a sign-respecting left factor (column scalings of the
         # left member), so they are dropped from the parametrization.
-        drop = isinstance(cls.left, (SignPattern, SignSets)) and isinstance(cls.right, Scaled)
+        drop = isinstance(cls.left, SignSets) and isinstance(cls.right, Scaled)
         left_view = symbolic_view(cls.left, namer)
         if isinstance(cls.right, Scaled):
             right_view = _view_scaled(cls.right, namer, drop_row_scalings=drop)

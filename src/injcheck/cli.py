@@ -127,9 +127,9 @@ def _common(parser: _Parser) -> None:
     parser.add_argument("--report", metavar="PATH", default=None,
                         help="write a JSON report here")
     parser.add_argument("--caps", metavar="SPEC", default=None,
-                        help="search limits, e.g. sign_enum_dim=14,patterns=65536")
+                        help="search limits, e.g. sign_enum_dim=14,vertices=4096")
     parser.add_argument("--route", default=None,
-                        choices=["auto", "det", "sign", "pattern-union"])
+                        choices=["auto", "det", "sign"])
 
 
 def _build_parser() -> _Parser:
@@ -158,7 +158,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--report", metavar="PATH", default=None)
     c.add_argument("--caps", metavar="SPEC", default=None)
     c.add_argument("--route", default=None,
-                   choices=["auto", "det", "sign", "pattern-union"])
+                   choices=["auto", "det", "sign"])
 
     s = sub.add_parser("signs", help="list the sign vectors of a subspace")
     s.add_argument("--S", required=True, metavar="SPEC")
@@ -230,12 +230,12 @@ def _print_verdict(v: Verdict) -> None:
         if "pairs_checked" in data:
             count = data["pairs_checked"]
             bits.append(f"{count} sign {'pair' if count == 1 else 'pairs'} checked")
-        if "patterns" in data:
-            bits.append(f"{data['patterns']} patterns, each injective")
         print("certificate: " + ", ".join(bits))
     elif isinstance(cert, SingularWitness):
         for line in _witness_lines(cert):
             print(line)
+    elif v.status is Status.INCONCLUSIVE:
+        print(f"reason: {v.diagnostics['reason']}")
 
 
 def _write_report(path: Optional[str], payload: dict) -> None:

@@ -15,16 +15,19 @@ class member M and z in S \\ {0} with (A) M z = 0? S = {0} is injective
   is swept over tau alone, one LP each, and without a left matrix only for a
   tau that passes a screen by the signs of its box; every pair test is odd,
   so only the tau whose first nonzero entry is -1 are swept;
-* pattern union - a sign-set class is the union of its sign patterns, so the
-  verdict is the conjunction of the per-pattern verdicts.
+* hull det - a sign-set factor with an entry of several signs has no
+  symbolic view, but its interval hull (`interval_hull`) is the same set of
+  matrices, so the det step runs on the hull; its verdict is the class's.
 
 `_ROUTES` lists, for each `route` value, the steps in the order they run; the
 first step that returns a verdict decides:
 
-    auto           det, sign, pattern union, INCONCLUSIVE (route NONE)
-    det            det, INCONCLUSIVE
-    sign           sign, INCONCLUSIVE
-    pattern-union  pattern union, INCONCLUSIVE
+    auto   det, sign, hull det, INCONCLUSIVE (route NONE)
+    det    det, hull det, INCONCLUSIVE
+    sign   sign, INCONCLUSIVE
+
+An INCONCLUSIVE verdict gives its reason in diagnostics["reason"]: the caps
+that stopped a step, else why no step applies.
 
 NOT_INJECTIVE always carries a SingularWitness: an exact class member (with
 its membership evidence) and an exact z in S \\ {0} it kills, plus, for scaled
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -48,11 +51,10 @@ from .classes import (
     Member,
     Product,
     Scaled,
-    SignSets,
     UnsupportedClassError,
     augment_with_kernel_rep,
     class_contains,
-    enumerate_patterns,
+    interval_hull,
 )
 from .detroute import DetAnalysis, DetSign, det_sign_analysis
 from .limits import CapExceeded, Caps, DEFAULT_CAPS
@@ -72,6 +74,9 @@ class Status(str, enum.Enum):
 class Route(str, enum.Enum):
     DET = "DET_ROUTE"
     SIGN = "SIGN_ROUTE"
+    # no step produces it: the member stays because perfbench/tracing.py
+    # emits one metric injectivity.route.<value> per member, and
+    # BENCHMARK.json declares injectivity.route.PATTERN_UNION
     PATTERN_UNION = "PATTERN_UNION"
     TRIVIAL = "TRIVIAL"
     NONE = "NONE"
@@ -474,11 +479,7 @@ def verify_certificate(verdict: Verdict, problem: Problem,
         if not isinstance(verdict.certificate, SingularWitness):
             return False
         return _check_witness(problem, verdict.certificate, tol) is None
-    route = {
-        Route.DET: "det",
-        Route.SIGN: "sign",
-        Route.PATTERN_UNION: "pattern-union",
-    }.get(verdict.method)
+    route = {Route.DET: "det", Route.SIGN: "sign"}.get(verdict.method)
     again = check_injectivity(problem, caps=caps, route=route)
     return again.status is Status.INJECTIVE
 
@@ -497,6 +498,7 @@ class _Run:
     cls: MatrixClass
     rows: int
     diagnostics: dict
+    caps_hit: list = field(default_factory=list)  # each cap a step stopped at, for the reason
 
     @property
     def square(self) -> bool:
@@ -518,6 +520,8 @@ def _det_step(run: _Run) -> Optional[Verdict]:
         analysis = det_sign_analysis(augment_with_kernel_rep(run.problem.S, effcls), run.caps)
     except (UnsupportedClassError, CapExceeded) as exc:
         diagnostics["det_route_fallback"] = str(exc)
+        if isinstance(exc, CapExceeded):
+            run.caps_hit.append(str(exc))
         return None
     diagnostics["det_sign"] = analysis.sign.value
     diagnostics["det_kind"] = analysis.kind
@@ -546,6 +550,7 @@ def _sign_step(run: _Run) -> Optional[Verdict]:
         srr = sign_route(run.cls, S, run.A, run.caps)
     except CapExceeded as exc:
         diagnostics["sign_route_fallback"] = str(exc)
+        run.caps_hit.append(str(exc))
         return None
     if not srr.supported:
         return None
@@ -559,7 +564,8 @@ def _sign_step(run: _Run) -> Optional[Verdict]:
 
 
 def _sign_inconclusive(run: _Run) -> Verdict:
-    return _inconclusive(run, Route.SIGN, f"no sign route for {run.cls.describe()}")
+    reason = "; ".join(run.caps_hit) or f"no sign route for {run.cls.describe()}"
+    return _inconclusive(run, Route.SIGN, reason)
 
 
 def _sweep_certificate(S: Subspace, diag: dict, caps: Caps) -> PositivityCertificate:
@@ -573,60 +579,31 @@ def _sweep_certificate(S: Subspace, diag: dict, caps: Caps) -> PositivityCertifi
     return PositivityCertificate("sign-sweep", payload)
 
 
-def _pattern_union_step(run: _Run) -> Optional[Verdict]:
-    """A sign-set class (alone or as the outer factor of a product) is the
-    union of its sign patterns: decide each pattern with the auto route."""
-    cls, diagnostics = run.cls, run.diagnostics
-    if isinstance(cls, SignSets):
-        W, rebuild = cls.W, lambda pat: pat
-    elif isinstance(cls, Product) and isinstance(cls.left, SignSets):
-        W, rebuild = cls.left.W, lambda pat: Product(pat, cls.right)
-    else:
+def _hull_step(run: _Run) -> Optional[Verdict]:
+    """The det step on the interval hull, for a square class that has a
+    sign-set factor with an entry of several signs."""
+    hull = interval_hull(run.cls)
+    if hull is run.cls or not run.square:
         return None
-    try:
-        patterns = enumerate_patterns(W, run.caps.patterns)
-    except CapExceeded as exc:
-        diagnostics["pattern_union"] = str(exc)
-        return None
-    injective = True
-    for idx, pat in enumerate(patterns):
-        sub = Problem(rebuild(pat), run.problem.S, left=run.A)
-        sub_verdict = check_injectivity(sub, caps=run.caps)
-        if sub_verdict.status is Status.NOT_INJECTIVE:
-            diagnostics["patterns_checked"] = idx + 1
-            diagnostics["pattern_total"] = len(patterns)
-            diagnostics["falsified_by_pattern"] = [
-                "".join("+0-"[1 - s] for s in row) for row in pat.signs
-            ]
-            return Verdict(Status.NOT_INJECTIVE, Route.PATTERN_UNION,
-                           sub_verdict.certificate, diagnostics)
-        injective = injective and sub_verdict.status is Status.INJECTIVE
-    diagnostics["patterns_checked"] = len(patterns)
-    if injective:
-        cert = PositivityCertificate("pattern-union",
-                                     {"patterns": len(patterns), "each": "INJECTIVE"})
-        return Verdict(Status.INJECTIVE, Route.PATTERN_UNION, cert, diagnostics)
-    diagnostics["pattern_union"] = "some patterns inconclusive"
-    return Verdict(Status.INCONCLUSIVE, Route.PATTERN_UNION, None, diagnostics)
-
-
-def _pattern_union_inconclusive(run: _Run) -> Verdict:
-    """The pattern cap when the pattern union hit it, else the class shape."""
-    reason = run.diagnostics.get("pattern_union", "pattern union needs sign-set entries")
-    return _inconclusive(run, Route.PATTERN_UNION, reason)
+    run.diagnostics["det_over"] = f"interval hull {hull.describe()}"
+    # the hull run shares diagnostics and caps_hit with run
+    return _det_step(replace(run, cls=hull))
 
 
 def _no_route(run: _Run) -> Verdict:
-    return _inconclusive(run, Route.NONE, f"no route applies to {run.cls.describe()}")
+    reason = "; ".join(run.caps_hit) or f"no route applies to {run.cls.describe()}"
+    return _inconclusive(run, Route.NONE, reason)
 
 
 # For each `route` value, the steps in the order they run; the first verdict
-# wins, and the last step of every route always returns one.
+# wins, and the last step of every route always returns one. Under auto the
+# hull det runs after the sign sweep, which decides most multi-sign classes
+# sooner; under det it is part of the route, so that verify_certificate's
+# re-run of det reproduces a hull verdict.
 _ROUTES = {
-    "auto": (_det_step, _sign_step, _pattern_union_step, _no_route),
-    "det": (_det_step, _det_inconclusive),
+    "auto": (_det_step, _sign_step, _hull_step, _no_route),
+    "det": (_det_step, _hull_step, _det_inconclusive),
     "sign": (_sign_step, _sign_inconclusive),
-    "pattern-union": (_pattern_union_step, _pattern_union_inconclusive),
 }
 
 
@@ -638,13 +615,15 @@ def check_injectivity(problem: Problem, caps: Optional[Caps] = None,
     steps of `route` (None means 'auto') run in this order until one returns
     a verdict:
 
-        auto           det, sign, pattern union, INCONCLUSIVE (route NONE)
-        det            det, INCONCLUSIVE
-        sign           sign, INCONCLUSIVE
-        pattern-union  pattern union, INCONCLUSIVE
+        auto   det, sign, hull det, INCONCLUSIVE (route NONE)
+        det    det, hull det, INCONCLUSIVE
+        sign   sign, INCONCLUSIVE
 
-    The det step decides every square class it can expand (det is multilinear,
-    so a MIXED table has an exact zero); no verdict depends on a random trial.
+    The hull det is the det step on the interval hull of a class whose
+    sign-set factors have entries of several signs; the hull holds the same
+    matrices. The det step decides every square class it can expand (det is
+    multilinear, so a MIXED table has an exact zero); no verdict depends on a
+    random trial.
     """
     name = (route or "auto").lower().replace("_", "-")
     if name not in _ROUTES:

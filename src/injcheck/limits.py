@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Caps:
     sign_enum_dim: int = 12      # max ambient dimension n of sigma(S): at most 3^n - 1 vectors
-    patterns: int = 4096         # max sign patterns expanded from a sign-set matrix
     vertices: int = 1 << 20      # max vertex evaluations in one box analysis
     monomials: int = 1_000_000   # max terms while expanding a symbolic determinant
     branches: int = 64           # max disequality branches in interval feasibility
@@ -40,7 +39,7 @@ class CapExceeded(RuntimeError):
 
 
 def parse_caps_spec(spec: str, base: Caps = DEFAULT_CAPS) -> Caps:
-    """Parse 'name=value,name=value' overrides, e.g. 'patterns=100,vertices=4096'."""
+    """Parse 'name=value,name=value' overrides, e.g. 'sign_enum_dim=14,vertices=4096'."""
     overrides = {}
     for part in spec.split(","):
         part = part.strip()

@@ -9,7 +9,7 @@ only ever "no hit in N trials".
 
 Every class goes through the symbolic view of its augmented class [Z; M]. A
 sign-set factor with several signs in some entry is first replaced by its
-interval hull (d_of_signsets), which holds exactly the same matrices. A wide
+interval hull (`interval_hull`), which holds exactly the same matrices. A wide
 view (fewer rows than unknowns) makes every member singular and a view
 without atoms is a single matrix, so one exact member decides both. Any other
 view runs one search loop: draw a batch of atom values, screen the float
@@ -45,13 +45,11 @@ import numpy as np
 
 from .classes import (
     Augmented,
-    Interval,
     IntervalEntry,
     MatrixClass,
     Member,
     Product,
-    SignSets,
-    d_of_signsets,
+    interval_hull,
     symbolic_view,
 )
 from .injectivity import (
@@ -61,7 +59,7 @@ from .injectivity import (
     effective_parts,
     witness_from_aug_member,
 )
-from .linalg import RationalMatrix, _eliminate, determinant, kernel_basis
+from .linalg import _eliminate, determinant, kernel_basis
 
 _ZERO = Fraction(0)
 _MAGNITUDE = 9              # positive parameters drawn as p/q, p <= magnitude^2, q <= magnitude
@@ -117,25 +115,12 @@ def _sample_entry(e: IntervalEntry, rng: random.Random, magnitude: int) -> Fract
     return e.lower + t * (e.upper - e.lower)
 
 
-def _hull(cls: MatrixClass) -> MatrixClass:
-    """The same set of matrices with every multi-sign SignSets factor replaced
-    by its interval hull, so that every class has a symbolic view."""
-    if isinstance(cls, SignSets) and not cls.W.is_pattern:
-        return Interval(d_of_signsets(cls.W))
-    if isinstance(cls, Product):
-        left = cls.left if isinstance(cls.left, RationalMatrix) else _hull(cls.left)
-        return Product(left, _hull(cls.right))
-    if isinstance(cls, Augmented):
-        return Augmented(cls.Z, _hull(cls.inner))
-    return cls
-
-
 def sample_member(cls: MatrixClass, rng: random.Random, magnitude: int = _MAGNITUDE) -> Member:
     """Exact random member with membership evidence, uniform-ish over small
     rationals: each atom of the class's symbolic view is drawn with
     _sample_entry, in the view's order, and the view builds the member. Every
     output passes class_contains by construction."""
-    view = symbolic_view(_hull(cls))
+    view = symbolic_view(interval_hull(cls))
     return view.build_member({name: _sample_entry(info.domain, rng, magnitude)
                               for name, info in view.atoms.items()})
 
@@ -389,7 +374,7 @@ def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[Si
     if S.dim == 0:
         return None
     effcls = cls if A is None else Product(A, cls)
-    aug = _hull(Augmented(S.kernel_rep(), effcls))
+    aug = interval_hull(Augmented(S.kernel_rep(), effcls))
     view = symbolic_view(aug)
 
     if view.rows < S.n or not view.atoms:

@@ -48,7 +48,6 @@ from .classes import (
     Member,
     Product,
     Scaled,
-    SignPattern,
     SignSetMatrix,
     SignSets,
 )
@@ -514,25 +513,25 @@ def _signsets_of(cls: MatrixClass) -> SignSetMatrix:
     B, a class that holds every member of Scaled(B)."""
     if isinstance(cls, Scaled):
         return SignSetMatrix.from_signs([[sign_of(b) for b in row] for row in cls.B.data])
-    return cls.to_signsets() if isinstance(cls, SignPattern) else cls.W
+    return cls.W
 
 
 def _serves(cls: MatrixClass, A: Optional[RationalMatrix]) -> bool:
-    if isinstance(cls, (Scaled, SignPattern, SignSets, Interval)):
+    if isinstance(cls, (Scaled, SignSets, Interval)):
         return True
     return (A is None and isinstance(cls, Product)
-            and isinstance(cls.left, (SignPattern, SignSets))
-            and isinstance(cls.right, (Scaled, SignPattern, SignSets)))
+            and isinstance(cls.left, SignSets)
+            and isinstance(cls.right, (Scaled, SignSets)))
 
 
 def sign_route(cls: MatrixClass, S: Subspace, A: Optional[RationalMatrix],
                caps: Optional[Caps] = None) -> SignRouteResult:
     """Decide injectivity by the sign sweep for the supported class shapes.
 
-    Supported: Scaled, SignPattern, SignSets, Interval (each optionally with a
-    left matrix A), and the left-free class products SignSets x Scaled,
-    SignPattern x Scaled, SignSets x SignSets and mixtures of those two kinds.
-    Any other shape comes back unsupported before sigma(S) is computed.
+    Supported: Scaled, SignSets, Interval (each optionally with a left matrix
+    A), and the left-free class products SignSets x Scaled and SignSets x
+    SignSets. Any other shape comes back unsupported before sigma(S) is
+    computed.
 
     Every shape but Interval runs one loop over the pairs (tau, rho): the
     left side (none, A, or an outer sign-set factor) supplies the list of rho
@@ -661,8 +660,7 @@ def _hit(inner: MatrixClass, W_in: SignSetMatrix, W_out: Optional[SignSetMatrix]
         if W_out is None:
             lift_data = (B, tuple(lam[j] * z[j] for j in range(len(z))), tuple(z))
     else:
-        kind = "pattern" if isinstance(inner, SignPattern) and W_out is None else "signsets"
-        member = Member(signset_member_rows(W_in, z, y), kind)
+        member = Member(signset_member_rows(W_in, z, y), "signsets")
     if W_out is not None:
         H = signset_member_rows(W_out, y, [_ZERO] * W_out.rows)
         member = Member(H.matmul(member.matrix), "product",

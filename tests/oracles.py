@@ -12,7 +12,8 @@ sigma(S) over SignVectors is the reference for its bit-mask pairs. The cone
 system that splits every coordinate as u - v is the reference for the
 presolve of `feasible_cone`, and the sweep over all of sigma(S), with one LP
 per tau of an interval class, is the reference for the half sweep and for
-the sign screen.
+the sign screen. The sign patterns of a sign-set matrix, whose union is its
+class, are the reference that criterion 08 holds the sign-set verdicts to.
 """
 
 import itertools
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from injcheck.classes import Interval, Member, Product, Scaled, SignSetMatrix
 from injcheck.feasibility import strict_sign_feasible
-from injcheck.limits import DEFAULT_CAPS
+from injcheck.limits import CapExceeded, DEFAULT_CAPS
 from injcheck.linalg import RationalMatrix, Subspace, integer_row, kernel_basis, rat_vector
 from injcheck.signroute import (
     SignRouteHit,
@@ -52,6 +53,23 @@ def all_sign_vectors(n, include_zero=False):
     for combo in itertools.product((-1, 0, 1), repeat=n):
         if include_zero or any(combo):
             yield SignVector(combo)
+
+
+def pattern_count(W: SignSetMatrix) -> int:
+    """How many sign patterns refine W: the product of its entries' set sizes."""
+    return math.prod(len(s) for row in W.entries for s in row)
+
+
+def enumerate_patterns(W: SignSetMatrix, cap=None) -> list[tuple[tuple[int, ...], ...]]:
+    """The sign grids that pick one sign from each entry of W, row-major
+    lexicographic. Raises CapExceeded, naming the exact count, when there
+    are more than `cap`."""
+    count = pattern_count(W)
+    if cap is not None and count > cap:
+        raise CapExceeded("patterns", count, cap)
+    per_entry = [sorted(s) for row in W.entries for s in row]
+    return [tuple(combo[i * W.cols:(i + 1) * W.cols] for i in range(W.rows))
+            for combo in itertools.product(*per_entry)]
 
 
 def lp_concordant(rho, tau, W: SignSetMatrix) -> bool:

@@ -22,7 +22,6 @@ from injcheck.classes import (
     SignPattern,
     SignSetMatrix,
     SignSets,
-    enumerate_patterns,
     parse_interval_box_text,
     parse_signsets_text,
     symbolic_view,
@@ -42,7 +41,7 @@ from injcheck.oracle import OracleConfig, falsify
 from injcheck.signs import sign_of, sign_orthogonal
 from injcheck.signroute import concordant_pair
 
-from oracles import ALL_SIGN_SETS, all_sign_vectors, lp_concordant
+from oracles import ALL_SIGN_SETS, all_sign_vectors, enumerate_patterns, lp_concordant
 
 F = Fraction
 
@@ -248,7 +247,7 @@ def test_criterion_08_sign_set_verdict_is_the_pattern_conjunction():
             verdict = check_injectivity(p)
             assert verdict.status is not Status.INCONCLUSIVE
             conjunction = all(
-                status_of_pattern(pat.signs) is Status.INJECTIVE
+                status_of_pattern(pat) is Status.INJECTIVE
                 for pat in enumerate_patterns(W)
             )
             assert (verdict.status is Status.INJECTIVE) == conjunction, W

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -100,11 +101,36 @@ def test_injectivity_imports_nothing_from_oracle():
             assert all("oracle" not in a.name for a in node.names)
 
 
-@pytest.mark.parametrize("name", ["sign_enum_dim", "patterns", "vertices", "monomials",
-                                  "branches"])
+@pytest.mark.parametrize("name", ["sign_enum_dim", "vertices", "monomials", "branches"])
 def test_negative_caps_are_rejected(name):
     with pytest.raises(ValueError, match=f"cap {name} must be >= 0, got -1"):
         Caps(**{name: -1})
     with pytest.raises(ValueError, match=f"cap {name} must be >= 0"):
         parse_caps_spec(f"{name}=-1")
     assert getattr(Caps(**{name: 0}), name) == 0
+
+
+def test_patterns_is_not_a_cap():
+    with pytest.raises(ValueError, match="unknown cap 'patterns'"):
+        parse_caps_spec("patterns=1")
+
+
+# metrics that perfbench/run.py computes itself rather than from tracing's names
+_RUN_METRICS = {
+    "feasibility.feasible_ratio", "trace.wall_s", "trace.untraced_wall_s", "trace.overhead_s",
+    "trace.spans", "trace.span_overhead_s", "trace.op_wall_s", "trace.self_sum_s",
+}
+
+
+def test_benchmark_metrics_are_ones_perfbench_emits():
+    # a Route member or traced function dropped from the package would drop a
+    # declared metric from every traced benchmark result
+    tracing = _tracing()
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert declared
+    for name in (m["name"] for m in declared):
+        head, _, tail = name.rpartition(".")
+        if tail in ("calls", "self_s"):
+            assert head in tracing.NAMES, name
+        elif name not in _RUN_METRICS:
+            assert name in tracing.WORK_COUNTS, name

@@ -44,6 +44,14 @@ class TestExitCodes:
         code, out, _ = run(capsys, "monomial", "--B", "1 1", "--route", "det")
         assert code == 2
         assert "status: INCONCLUSIVE" in out
+        assert "reason: determinant route needs a square augmented class" in out
+
+    @pytest.mark.parametrize("route", ["auto", "sign"])
+    def test_decision_stopped_at_a_cap_names_it(self, capsys, route):
+        code, out, _ = run(capsys, "monomial", "--B", "1 1 1", "--caps", "sign_enum_dim=2",
+                           "--route", route)
+        assert code == 2
+        assert "reason: cap sign_enum_dim exceeded: needs 3, limit 2\n" in out
 
     def test_usage_unknown_flag(self, capsys):
         code, _, err = run(capsys, "monomial", "--B", "1 1;2 1", "--zap")
@@ -449,7 +457,7 @@ CAPS_VALUES = ("0", "1", "2", "14", "100") * 3 + ("-1", "1e999", "1/0", "x", "")
        st.sampled_from((
            ["monomial", "--B", "1 1;2 1"],
            ["monomial", "--B", "1 2 1", "--S", "full:3"],
-           ["monotonic", "--W", "+ -;0+ +", "--route", "pattern-union"],
+           ["monotonic", "--W", "+ -;0+ +", "--route", "det"],
            ["monotonic", "--W", "* + 0;- * +", "--S", "im:1;1;1"],
            ["interval", "--D", "[1,2] (0,inf);(-inf,inf) {1}"],
        )))

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from injcheck.classes import (
     Interval,
@@ -11,6 +12,7 @@ from injcheck.classes import (
     SignPattern,
     SignSets,
     augment_with_kernel_rep,
+    interval_hull,
     parse_interval_box_text,
     parse_signsets_text,
 )
@@ -206,7 +208,7 @@ class TestRouteForcing:
 
     def test_auto_without_any_route(self):
         # wide product of two interval factors: no square determinant, no
-        # sign sweep, no pattern union
+        # sign sweep, no hull to take
         cls = Product(Interval(parse_interval_box_text("(0,1)")),
                       Interval(parse_interval_box_text("(0,1) (0,1)")))
         p = Problem(cls, Subspace.full(2))
@@ -228,26 +230,32 @@ class TestRouteForcing:
         with pytest.raises(ValueError):
             check_injectivity(p, route="guess")
 
-    def test_pattern_union_falsifies(self):
+    def test_multisign_sign_sets_falsified(self):
+        # the pattern 0- kills (1, 0); the wide class has no determinant
         p = Problem(SignSets(parse_signsets_text("0+ -")), Subspace.full(2))
-        verdict = check_injectivity(p, route="pattern-union")
-        assert verdict.status is Status.NOT_INJECTIVE
-        assert verdict.method is Route.PATTERN_UNION
-        assert verdict.diagnostics["falsified_by_pattern"] == ["0-"]
+        verdict = check_injectivity(p)
+        assert (verdict.status, verdict.method) == (Status.NOT_INJECTIVE, Route.SIGN)
         assert verify_certificate(verdict, p)
+        verdict = check_injectivity(p, route="det")
+        assert (verdict.status, verdict.method) == (Status.INCONCLUSIVE, Route.DET)
+        assert "square" in verdict.diagnostics["reason"]
 
-    def test_pattern_union_all_injective(self):
+    def test_multisign_sign_sets_injective_by_the_hull(self):
         p = Problem(SignSets(parse_signsets_text("+ 0+\n0 +")), Subspace.full(2))
-        verdict = check_injectivity(p, route="pattern-union")
-        assert verdict.status is Status.INJECTIVE
-        assert verdict.method is Route.PATTERN_UNION
-        assert verdict.certificate.payload == {"patterns": 2, "each": "INJECTIVE"}
+        assert check_injectivity(p).status is Status.INJECTIVE
+        verdict = check_injectivity(p, route="det")
+        assert (verdict.status, verdict.method) == (Status.INJECTIVE, Route.DET)
+        assert verdict.diagnostics["det_over"] == "interval hull interval(2x2)"
         assert verify_certificate(verdict, p)
 
-    def test_pattern_union_needs_sign_sets(self):
-        p = Problem(Scaled(M([1, 1], [2, 1])), Subspace.full(2))
-        verdict = check_injectivity(p, route="pattern-union")
-        assert verdict.status is Status.INCONCLUSIVE
+    def test_no_hull_without_multisign_entries(self):
+        cls = Scaled(M([1, 1], [2, 1]))
+        assert interval_hull(cls) is cls
+        p = Problem(cls, Subspace.full(2))
+        for route in ("auto", "det"):
+            verdict = check_injectivity(p, route=route)
+            assert (verdict.status, verdict.method) == (Status.INJECTIVE, Route.DET)
+            assert "det_over" not in verdict.diagnostics
 
     def test_sign_cap_holds_after_a_cached_decision(self):
         S = Subspace.full(3)
@@ -373,6 +381,67 @@ class TestRouteAgreement:
             assert det_verdict.status is sign_verdict.status, cls.describe()
             assert det_verdict.status in (Status.INJECTIVE, Status.NOT_INJECTIVE)
 
+
+_SIGN_SET_TOKENS = ("+", "-", "0", "0+", "-0", "-+", "*")
+_INTERVAL_TOKENS = ("{0}", "{1}", "{-2}", "(0,inf)", "(-inf,0)", "[-1,2]", "[1,3]", "(0,1)",
+                    "(-inf,inf)")
+
+
+def _grid(draw, tokens, rows, cols):
+    return "\n".join(" ".join(draw(st.sampled_from(tokens)) for _ in range(cols))
+                     for _ in range(rows))
+
+
+def _ints(draw, rows, cols):
+    return M(*[[draw(st.integers(-2, 2)) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def multisign_square_problems(draw):
+    """A square problem whose class has a sign-set factor with an entry of
+    several signs: SignSets, SignSets x Scaled or SignSets x Interval, with
+    as many rows as dim S."""
+    n = draw(st.integers(1, 3))
+    r = draw(st.integers(1, n))
+    W = parse_signsets_text(_grid(draw, _SIGN_SET_TOKENS, r, draw(st.integers(1, 3))))
+    assume(not W.is_pattern)
+    kind = draw(st.sampled_from(("signsets", "scaled", "interval")))
+    if kind == "signsets":
+        W = parse_signsets_text(_grid(draw, _SIGN_SET_TOKENS, r, n))
+        assume(not W.is_pattern)
+        cls = SignSets(W)
+    elif kind == "scaled":
+        cls = Product(SignSets(W), Scaled(_ints(draw, W.cols, n)))
+    else:
+        D = parse_interval_box_text(_grid(draw, _INTERVAL_TOKENS, W.cols, n))
+        cls = Product(SignSets(W), Interval(D))
+    S = Subspace.full(n) if r == n and draw(st.booleans()) else Subspace.from_image(
+        _ints(draw, n, r))
+    assume(S.dim == r)
+    return Problem(cls, S)
+
+
+class TestIntervalHull:
+    @given(multisign_square_problems())
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_hull_decides_as_the_sign_sets(self, p):
+        hull = interval_hull(p.matrices)
+        assert hull is not p.matrices
+        on_hull = check_injectivity(Problem(hull, p.S))
+        for route in ("auto", "det"):
+            verdict = check_injectivity(p, route=route)
+            assert verdict.status is on_hull.status, (route, p.matrices.describe())
+            if "det_over" in verdict.diagnostics:
+                assert verify_certificate(verdict, p)
+
+    def test_forced_det_injective_verifies(self):
+        # verify_certificate re-runs the det route, which must take the hull again
+        p = Problem(Product(SignSets(parse_signsets_text("0+ +\n- 0+")),
+                            Scaled(M([1, 0], [0, 1]))), Subspace.full(2))
+        verdict = check_injectivity(p, route="det")
+        assert (verdict.status, verdict.method) == (Status.INJECTIVE, Route.DET)
+        assert verdict.diagnostics["det_over"].startswith("interval hull ")
+        assert verify_certificate(verdict, p)
 
 def _random_square_problem(rng):
     """A Scaled, SignPattern or SignSets x Scaled class with as many rows as

@@ -14,6 +14,7 @@ from injcheck.classes import (
     SignPattern,
     SignSets,
     class_contains,
+    interval_hull,
     parse_interval_box_text,
     parse_interval_token,
     parse_signsets_text,
@@ -24,7 +25,6 @@ from injcheck.linalg import RationalMatrix, Subspace
 from injcheck.oracle import (
     OracleConfig,
     _CompiledGrid,
-    _hull,
     _limit_denominator,
     _root_solve,
     _snap_into,
@@ -196,7 +196,7 @@ class TestOracleAgainstVerdicts:
 
 def square_grid(cls, S):
     """The falsifier's compiled grid of [Z; cls] for a square augmented view."""
-    view = symbolic_view(_hull(Augmented(S.kernel_rep(), cls)))
+    view = symbolic_view(interval_hull(Augmented(S.kernel_rep(), cls)))
     assert view.rows == view.cols == S.n
     return _CompiledGrid(view)
 

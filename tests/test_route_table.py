@@ -6,8 +6,9 @@ recorded in `route_table_golden.json`. Together the cases reach every step of
 `check_injectivity` and every way out of it: the trivial subspace, the
 determinant sign, a zero assignment of a box or of a MIXED monomial table
 (alone, behind a class product and under a sign cap), the sign route, the
-pattern union, every cap that turns a step into a fallback, and the
-INCONCLUSIVE end of each forced route.
+determinant of the interval hull of a multi-sign sign-set class, every cap
+that turns a step into a fallback, and the INCONCLUSIVE end of each forced
+route.
 
 Re-record after a deliberate change of verdicts with
 
@@ -34,7 +35,7 @@ from injcheck.limits import DEFAULT_CAPS
 from injcheck.linalg import RationalMatrix, Subspace, parse_matrix_text
 
 GOLDEN = Path(__file__).with_name("route_table_golden.json")
-ROUTES = ("auto", "det", "sign", "pattern-union")
+ROUTES = ("auto", "det", "sign")
 
 
 def M(text):
@@ -104,7 +105,6 @@ CASES = {
     "monomial_cap": lambda: Problem(W("+ +; - +"), Subspace.full(2)),
     "sign_cap": lambda: Problem(Scaled(M("1 1 1")), Subspace.full(3)),
     "pattern_union_auto": lambda: Problem(multisign_box(), Subspace.full(2)),
-    "pattern_union_cap": lambda: Problem(multisign_box(), Subspace.full(2)),
     "pattern_union_falsifies": lambda: Problem(W("0+ -"), Subspace.full(2)),
     "pattern_union_all_injective": lambda: Problem(W("+ 0+; 0 +"), Subspace.full(2)),
     "pattern_union_inconclusive": lambda: Problem(Product(W("0+"), D("(0,1) (0,1)")),
@@ -128,7 +128,6 @@ CAPS = {
     "scaled_mixed_sign_cap": {"sign_enum_dim": 2},
     "monomial_cap": {"monomials": 1},
     "sign_cap": {"sign_enum_dim": 2},
-    "pattern_union_cap": {"patterns": 1},
 }
 
 
