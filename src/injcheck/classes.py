@@ -924,9 +924,14 @@ def symbolic_view(cls: MatrixClass, namer: Optional[_AtomNamer] = None) -> Symbo
 
             return SymbolicView(rows, cls.cols, grid, right_view.atoms, build_nl)
         # class x class: positive row scalings of an inner scaled factor are
-        # absorbed by a sign-respecting left factor (column scalings of the
-        # left member), so they are dropped from the parametrization.
-        drop = isinstance(cls.left, SignSets) and isinstance(cls.right, Scaled)
+        # absorbed by a left factor closed under positive column scalings (a
+        # sign set, or a box of cones: every finite end 0), so they are dropped
+        # from the parametrization.
+        drop = isinstance(cls.right, Scaled) and (
+            isinstance(cls.left, SignSets)
+            or isinstance(cls.left, Interval) and all(
+                end is None or end == 0
+                for row in cls.left.D.entries for e in row for end in (e.lower, e.upper)))
         left_view = symbolic_view(cls.left, namer)
         if isinstance(cls.right, Scaled):
             right_view = _view_scaled(cls.right, namer, drop_row_scalings=drop)

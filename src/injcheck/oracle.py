@@ -22,7 +22,9 @@ member in Fractions. The shape of the view picks the screen and the repair:
   miss is finished off by moving one atom to its exact root, if that root
   stays inside its domain; one exact elimination gives the determinant's
   slope in every atom by Jacobi's formula;
-* tall: sigma_min / sigma_max; a candidate is kept when its exact kernel is
+* tall: sigma_min / sigma_max, screened by the eigenvalues of the Gram
+  matrices M^T M, with a full SVD only for members near singular, so every
+  candidate keeps its SVD score; a candidate is kept when its exact kernel is
   nontrivial.
 
 The float draw lands on an atom's distinguished points (its closed finite
@@ -65,6 +67,8 @@ _ZERO = Fraction(0)
 _MAGNITUDE = 9              # positive parameters drawn as p/q, p <= magnitude^2, q <= magnitude
 _SCREEN_TOL = 1e-10         # relative near-zero threshold for the float screen
 _SNAP_DENOMINATOR = 10 ** 6
+_KERNEL_CHECK_BELOW = 1e-7  # tall members scoring above this get no exact kernel check
+_GRAM_EXACT_BELOW = 1e-5    # 100 x _KERNEL_CHECK_BELOW: Gram scores below it are redone by SVD
 
 
 @dataclass(frozen=True)
@@ -230,6 +234,9 @@ class _CompiledGrid:
         self.view = view
         self.names = sorted(view.atoms)
         self.domains = [view.atoms[name].domain for name in self.names]
+        self.by_domain = {}  # atom indices per distinct domain, sampled together
+        for k, e in enumerate(self.domains):
+            self.by_domain.setdefault(e, []).append(k)
         index = {name: k for k, name in enumerate(self.names)}
         # (i, j, coeff, float coeff, atom indices with repeats)
         self.terms = []
@@ -266,13 +273,15 @@ class _CompiledGrid:
         return {name: Fraction(p, q) for name, (p, q) in zip(self.names, point)}
 
     def sample(self, nprng, T: int) -> np.ndarray:
-        """(T, n_atoms) float atom values, each inside its domain."""
-        cols = []
-        for e in self.domains:
-            u = nprng.uniform(1e-4, 1.0 - 1e-4, size=T)
-            pick = nprng.uniform(size=T)
-            cols.append(_float_domain_sample(e, u, pick))
-        return np.stack(cols, axis=1)
+        """(T, n_atoms) float atom values, each inside its domain. One draw
+        holds, per atom, the T values of uniform(1e-4, 1 - 1e-4) and then the T
+        of its pick stream, bit for bit as two uniform calls per atom would."""
+        draw = nprng.random((len(self.domains), 2, T))
+        u = 1e-4 + ((1.0 - 1e-4) - 1e-4) * draw[:, 0]
+        out = np.empty((len(self.domains), T))
+        for e, rows in self.by_domain.items():
+            out[rows] = _float_domain_sample(e, u[rows], draw[rows, 1])
+        return out.T
 
     def matrices(self, samples: np.ndarray) -> np.ndarray:
         """samples: (T, n_atoms) -> (T, rows, cols) float matrices."""
@@ -312,9 +321,18 @@ def _det_ratio(mats: np.ndarray) -> np.ndarray:
 
 
 def _sigma_ratio(mats: np.ndarray) -> np.ndarray:
-    """sigma_min / sigma_max of tall float members."""
-    svals = np.linalg.svd(mats, compute_uv=False)
-    return svals[:, -1] / np.maximum(svals[:, 0], 1e-30)
+    """sigma_min / sigma_max of tall float members, screened on the Gram
+    matrices M^T M: sqrt(lambda_min / lambda_max) is off from the singular
+    value ratio by about sqrt(machine epsilon), so every member scoring below
+    _GRAM_EXACT_BELOW (or nan) gets its SVD ratio instead. Every candidate
+    below _KERNEL_CHECK_BELOW thus has its SVD score and its SVD order."""
+    lam = np.linalg.eigvalsh(mats.transpose(0, 2, 1) @ mats)
+    score = np.sqrt(np.maximum(lam[:, 0], 0.0) / np.maximum(lam[:, -1], 1e-60))
+    near = np.flatnonzero(~(score >= _GRAM_EXACT_BELOW))
+    if near.size:
+        svals = np.linalg.svd(mats[near], compute_uv=False)
+        score[near] = svals[:, -1] / np.maximum(svals[:, 0], 1e-30)
+    return score
 
 
 def _root_solve(grid: _CompiledGrid, point: tuple) -> Optional[Member]:
@@ -394,7 +412,8 @@ def falsify(problem: Problem, cfg: Optional[OracleConfig] = None) -> Optional[Si
             _det_ratio, _SCREEN_TOL, cfg.max_exact_attempts, _root_solve)
     else:
         # tall: only candidates below the cutoff get an exact kernel check
-        screen, free_below, budget, repair = _sigma_ratio, 1e-7, 0, _kernel_check
+        screen, free_below, budget, repair = (
+            _sigma_ratio, _KERNEL_CHECK_BELOW, 0, _kernel_check)
     nprng = np.random.default_rng(cfg.seed)
     attempts = 0
     remaining = cfg.trials

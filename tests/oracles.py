@@ -20,10 +20,13 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from injcheck.classes import Interval, Member, Product, Scaled, SignSetMatrix
 from injcheck.feasibility import strict_sign_feasible
 from injcheck.limits import CapExceeded, DEFAULT_CAPS
 from injcheck.linalg import RationalMatrix, Subspace, integer_row, kernel_basis, rat_vector
+from injcheck.oracle import _float_domain_sample
 from injcheck.signroute import (
     SignRouteHit,
     SignRouteResult,
@@ -561,3 +564,20 @@ def full_sign_sweep(cls, S: Subspace, A=None, caps=DEFAULT_CAPS) -> SignRouteRes
             return SignRouteResult(True, injective=False, diagnostics=diag,
                                    hit=_hit(inner, W_in, W_out, S, K, tau, rho, v))
     return SignRouteResult(True, injective=True, diagnostics=diag)
+
+
+def svd_sigma_ratio(mats):
+    """sigma_min / sigma_max of tall float members from every singular value."""
+    svals = np.linalg.svd(mats, compute_uv=False)
+    return svals[:, -1] / np.maximum(svals[:, 0], 1e-30)
+
+
+def per_atom_sample(domains, nprng, T):
+    """(T, n_atoms) float atom values, drawn atom by atom: T values of
+    uniform(1e-4, 1 - 1e-4), then T of the pick stream."""
+    cols = []
+    for e in domains:
+        u = nprng.uniform(1e-4, 1.0 - 1e-4, size=T)
+        pick = nprng.uniform(size=T)
+        cols.append(_float_domain_sample(e, u, pick))
+    return np.stack(cols, axis=1)

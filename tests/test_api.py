@@ -1,6 +1,7 @@
 """The package surface that callers and the benchmark harness depend on."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -99,6 +100,13 @@ def test_injectivity_imports_nothing_from_oracle():
             assert "oracle" not in {a.name for a in node.names}
         elif isinstance(node, ast.Import):
             assert all("oracle" not in a.name for a in node.names)
+
+
+def test_oracle_config_has_no_screen_knob():
+    # the falsifier's float screen is internal: a change to it keeps every
+    # witness, so it needs no field to switch it
+    assert [f.name for f in dataclasses.fields(injcheck.OracleConfig)] == [
+        "trials", "seed", "batch", "max_exact_attempts"]
 
 
 @pytest.mark.parametrize("name", ["sign_enum_dim", "vertices", "monomials", "branches"])

@@ -23,12 +23,14 @@ from injcheck.classes import (
     d_of_signsets,
     format_interval_box_text,
     format_signsets_text,
+    interval_hull,
     monomial_text,
     parse_interval_box_text,
     parse_interval_token,
     parse_signsets_text,
     symbolic_view,
 )
+from injcheck.injectivity import Problem, check_injectivity, verify_certificate
 from injcheck.limits import CapExceeded
 from injcheck.linalg import RationalMatrix, Subspace
 
@@ -301,6 +303,23 @@ class TestSymbolicViews:
         assert any(a.startswith("l") for a in view.atoms)
         assert any(a.startswith("m") for a in view.atoms)
 
+    def test_cone_box_left_factor_drops_inner_row_scalings(self):
+        # the hull of a multi-sign sign set is a box of cones, which absorbs
+        # positive column scalings just as the sign set does
+        W = parse_signsets_text("0+ + -\n+ -0 +\n- + 0+")
+        cls = Product(SignSets(W), Scaled(M([1, 2, 0], [0, 1, 1], [1, 0, 3])))
+        view = symbolic_view(interval_hull(cls))
+        assert sorted(view.atoms) == ["l1", "l2", "l3"] + [f"v{k}" for k in range(1, 10)]
+        problem = Problem(cls, Subspace.full(3))
+        verdict = check_injectivity(problem, route="det")
+        assert verdict.diagnostics["det_over"].startswith("interval hull ")
+        assert verify_certificate(verdict, problem)
+
+    def test_box_with_a_nonzero_end_keeps_inner_row_scalings(self):
+        D = parse_interval_box_text("[0,inf) (0,1)\n{0} (-inf,inf)")
+        view = symbolic_view(Product(Interval(D), Scaled(M([1, 1], [2, 1]))))
+        assert {"k1", "k2"} <= set(view.atoms)
+
     def test_plain_scaled_keeps_row_scalings(self):
         view = symbolic_view(Scaled(M([1, 1], [2, 1])))
         assert any(a.startswith("k") for a in view.atoms)
@@ -325,6 +344,8 @@ class TestSymbolicViews:
             SignPattern(((1, -1), (0, 1))),
             Interval(parse_interval_box_text("(0,2) {1}\n[1,3] (-1,0)")),
             Product(SignSets(W), Scaled(B)),
+            Product(Interval(parse_interval_box_text("[0,inf) (0,inf)\n{0} (0,inf)")),
+                    Scaled(B)),
             Product(M([1, -1]), Scaled(B)),
         ]
         for cls in classes:

@@ -1,14 +1,16 @@
-"""Pinned falsifier witnesses for the route-table problems and for square
-classes whose every member is singular.
+"""Pinned falsifier witnesses for the route-table problems and for classes
+with many singular members.
 
 `falsify` runs on every problem of `test_route_table.CASES` and of
 `SINGULAR_CASES` at 1500 trials under seeds 0 and 1, and
 `json.dumps(witness.to_payload(), sort_keys=True)` (or None for no hit) is
 compared with the one recorded in `falsify_golden.json`. A change to the
 falsifier's screen or exact repair that is meant to find the same members
-keeps this file as it is. Every member of a `SINGULAR_CASES` class scores
+keeps this file as it is. Many members of a `SINGULAR_CASES` class score
 near 0 in the float screen, so its witness is the first of them in `argsort`
-order and moves with the last bits of the score.
+order and moves with the last bits of the score: the square cases pin the
+determinant screen, the reaction networks (tall views) the sigma_min /
+sigma_max screen.
 
 Re-record after a deliberate change of witnesses with
 
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from injcheck.classes import Product, Scaled
+from injcheck.crn import KineticsMode, build_problem, parse_network
 from injcheck.injectivity import Problem
 from injcheck.linalg import Subspace
 from injcheck.oracle import OracleConfig, falsify
@@ -38,6 +41,15 @@ SINGULAR_CASES = {
         Product(M("1 0 1; 0 1 1; 1 1 2"), Scaled(M("1 2 0; 0 1 1; 1 0 3"))), Subspace.full(3)),
     "singular_box_zero_column": lambda: Problem(
         D("[1,2] {0} [0,1]; (0,1) {0} {2}; [-1,1] {0} (1,3)"), Subspace.full(3)),
+    # tall views, each with several members that score below the kernel-check
+    # cutoff: the witness is the first of them in the screen's order
+    "singular_crn_tall_monotonic_weak": lambda: build_problem(
+        parse_network("r1: 0 <-> ATP\nr2: ATP + D <-> 2 ATP + 2 Y\n"),
+        KineticsMode.parse("monotonic-weak")),
+    "singular_crn_tall_mass_action": lambda: build_problem(
+        parse_network("r1: 2 S2 <-> Y\nr2: ATP + 2 ADP -> ATP + 2 S2\n"
+                      "r3: ADP -> 2 S2\nr4: ADP -> Y\n"),
+        KineticsMode.parse("mass-action")),
 }
 CASES = {**ROUTE_CASES, **SINGULAR_CASES}
 

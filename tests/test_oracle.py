@@ -27,11 +27,12 @@ from injcheck.oracle import (
     _CompiledGrid,
     _limit_denominator,
     _root_solve,
+    _sigma_ratio,
     _snap_into,
     falsify,
     sample_member,
 )
-from oracles import finite_difference_root_solve
+from oracles import finite_difference_root_solve, per_atom_sample, svd_sigma_ratio
 
 F = Fraction
 
@@ -330,6 +331,59 @@ class TestSnap:
             (1, 2), (-3, 1), (5, 4), (3, 4))
         for bad in (float("inf"), float("-inf"), float("nan")):
             assert grid.snap(np.array([0.5, bad, 1.25, 0.75]), 10 ** 6) is None
+
+
+class TestFloatScreen:
+    # closed, open, half-line, whole line and punctured domains; closed ends
+    # and 0 are distinguished points
+    TOKENS = ("[1,2]", "[-1,1]", "(0,1)", "(1/3,5/2)", "(0,inf)", "[0,inf)",
+              "(2,inf)", "[1,inf)", "(-inf,0)", "(-inf,-1]", "(-inf,inf)",
+              "(-inf,0)u(0,inf)", "(-2,0)u(0,5]", "[-1/7,0)u(0,1/7]")
+
+    def test_one_draw_matches_two_draws_per_atom(self):
+        # each domain twice, so that atoms sharing a domain are mapped together
+        D = parse_interval_box_text(" ".join(self.TOKENS * 2))
+        grid = _CompiledGrid(symbolic_view(Interval(D)))
+        assert len(set(grid.domains)) == len(self.TOKENS) < len(grid.domains)
+        for seed in (0, 1, 2):
+            for T in (1, 37, 256):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = grid.sample(ours, T)
+                want = per_atom_sample(grid.domains, theirs, T)
+                assert got.shape == want.shape == (T, len(grid.domains))
+                assert np.array_equal(got, want), (seed, T)
+                assert ours.random() == theirs.random()
+
+    @staticmethod
+    def tall_batch(rng, rows, cols, size=200):
+        """Random tall members of mixed scale; then a zero column, a repeated
+        column, a column scaled down by 1e-9, and members of set ratio around
+        the kernel-check cutoff 1e-7."""
+        mats = rng.normal(size=(size, rows, cols)) * 10.0 ** rng.integers(-3, 4, (size, 1, 1))
+        mats[0, :, 1] = 0.0
+        mats[1, :, 0] = mats[1, :, cols - 1]
+        mats[2, :, 0] *= 1e-9
+        ratios = np.concatenate([np.geomspace(1e-8, 1e-6, 24),
+                                 1e-7 * (1.0 + np.linspace(-0.02, 0.02, 21))])
+        for t, ratio in enumerate(ratios, start=3):
+            u, _, vt = np.linalg.svd(rng.normal(size=(rows, cols)), full_matrices=False)
+            mats[t] = (u * np.geomspace(1.0, ratio, cols)) @ vt
+        return mats
+
+    def test_gram_screen_keeps_the_svd_candidates_in_order(self):
+        def candidates(score):
+            return [t for t in np.argsort(score) if score[t] <= 1e-7]
+
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for rows, cols in ((3, 2), (4, 3), (5, 3), (6, 4)):
+                mats = self.tall_batch(rng, rows, cols)
+                want = svd_sigma_ratio(mats)
+                got = _sigma_ratio(mats)
+                assert ((want > 1e-7) & (want < 1e-6)).any() and (want[3:] <= 1e-7).any()
+                assert candidates(got) == candidates(want), (seed, rows, cols)
+                assert {0, 1, 2} <= set(candidates(want))
+                assert np.array_equal(got[candidates(want)], want[candidates(want)])
 
 
 class TestRootSolveWork:
